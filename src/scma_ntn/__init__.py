@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .analysis import (
     BepSummary,
     ErrorEvent,
-    SnrPoint,
     pep,
     q_approx,
     rician_mgf,
@@ -20,7 +19,6 @@ from .analysis import (
     user_bep,
 )
 from .codebook import (
-    Codebook,
     CodebookSet,
     build_codebook,
     build_codebook_set,
@@ -29,23 +27,12 @@ from .codebook import (
     mapping_matrix_from_layer,
 )
 from .constellation import MotherConstellation, build_mother_constellation, dimension_energy
-from .detection import (
-    DetectionResult,
-    MlDetector,
-    MpaDetector,
-    ReceivedSignal,
-    count_bit_errors,
-    ml_detect,
-    mpa_detect,
-)
+from .detection import MlDetector, MpaDetector
 from .geometry import (
     CellGeometry,
-    RicianParams,
-    UserPlacement,
     expected_distance_ratio,
     ordered_distance_pdf,
     pathloss_factor,
-    place_users,
     sample_radii,
     sample_rician,
 )
@@ -68,4 +55,4 @@ from .optimizer import (
     fitness,
     run_ga,
 )
-from .simulator import BerResult, SimConfig, allocate_codebooks, run_ber_sweep, run_trial
+from .simulator import BerResult, SimConfig, run_ber_sweep

@@ -25,7 +25,6 @@ from .codebook import CodebookSet
 from .geometry import CellGeometry, expected_distance_ratio, ordered_distance_pdf
 
 __all__ = [
-    "SnrPoint",
     "ErrorEvent",
     "BepSummary",
     "q_approx",
@@ -67,22 +66,6 @@ def rician_mgf(s, kappa: float):
 def snr_db_to_n0(snr_db: float, dims) -> float:
     """Noise level N0 for a given SNR in dB: N0 = J / (K * 10^(snr/10))."""
     return dims.j_users / (dims.k_resources * 10.0 ** (snr_db / 10.0))
-
-
-@dataclass(frozen=True)
-class SnrPoint:
-    """One operating point: linear noise level plus its dB label."""
-
-    noise_n0: float
-    snr_db: float
-
-    def __post_init__(self):
-        if self.noise_n0 <= 0:
-            raise ValueError("noise level must be positive")
-
-    @classmethod
-    def from_db(cls, snr_db: float, dims) -> "SnrPoint":
-        return cls(noise_n0=snr_db_to_n0(snr_db, dims), snr_db=snr_db)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .layering import (
     validate_signature,
 )
 from .optimizer import DesignSpace, GaConfig, run_ga
-from .simulator import SimConfig, run_ber_sweep, write_manifest
+from .simulator import SimConfig, run_ber_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,6 +83,8 @@ def _parse_snr_grid(text) -> tuple:
         raise ConfigError(f"bad SNR grid {text!r}") from exc
     if not grid:
         raise ConfigError("empty SNR grid")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"SNR grid {text!r} has a non-finite value")
     return grid
 
 
@@ -138,6 +140,29 @@ def _geometry(cfg) -> CellGeometry:
         raise ConfigError(str(exc)) from exc
 
 
+def _kappa(cfg) -> float:
+    try:
+        kappa = float(cfg["link"]["kappa"])
+    except ValueError as exc:
+        raise ConfigError(f"bad kappa {cfg['link']['kappa']!r}") from exc
+    if not kappa >= 0:
+        raise ConfigError(f"kappa must be >= 0, got {kappa:g}")
+    return kappa
+
+
+def _truncation(value):
+    """E* as int, or None (exact) for 'none'; must be >= 1."""
+    if str(value).strip().lower() == "none":
+        return None
+    try:
+        e_star = int(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad truncation {value!r}") from exc
+    if e_star < 1:
+        raise ConfigError(f"truncation must be >= 1 or none, got {e_star}")
+    return e_star
+
+
 def _bool(v) -> bool:
     return v if isinstance(v, bool) else str(v).strip().lower() in ("1", "true", "yes", "on")
 
@@ -146,6 +171,13 @@ def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def write_manifest(path, payload: dict) -> None:
+    """JSON run manifest; keys sorted so identical runs write identical files."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
@@ -182,16 +214,19 @@ def _cmd_assign(args, cfg) -> int:
 def _cmd_design(args, cfg) -> int:
     dims = _dims(cfg)
     design = cfg["design"]
-    ga_cfg = GaConfig(
-        population=int(design["population"]),
-        generations=int(design["generations"]),
-        design_snr_db=float(design["design_snr_db"]),
-        kappa=float(cfg["link"]["kappa"]),
-        geometry=_geometry(cfg),
-        truncation=int(design["truncation"]),
-        seed=args.seed,
-        workers=args.threads,
-    )
+    try:
+        ga_cfg = GaConfig(
+            population=int(design["population"]),
+            generations=int(design["generations"]),
+            design_snr_db=float(design["design_snr_db"]),
+            kappa=_kappa(cfg),
+            geometry=_geometry(cfg),
+            truncation=_truncation(design["truncation"]),
+            seed=args.seed,
+            workers=args.threads,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     result = run_ga(DesignSpace(dims=dims), ga_cfg)
     out = _out_dir(args)
     cb_path = out / "designed_codebook.txt"
@@ -218,8 +253,8 @@ def _load_codebooks(paths):
 
 
 def _analyze_one(cbs, cfg, snr_grid, geom):
-    kappa = float(cfg["link"]["kappa"])
-    trunc = None if _bool(cfg["analysis"]["exact_bep"]) else int(cfg["analysis"]["truncation"])
+    kappa = _kappa(cfg)
+    trunc = None if _bool(cfg["analysis"]["exact_bep"]) else _truncation(cfg["analysis"]["truncation"])
     rows = []
     for snr in snr_grid:
         n0 = snr_db_to_n0(snr, cbs.dims)
@@ -241,18 +276,21 @@ def _cmd_analyze(args, cfg) -> int:
 
 def _sim_config(args, cfg, snr_grid) -> SimConfig:
     sim = cfg["simulate"]
-    return SimConfig(
-        kappa=float(cfg["link"]["kappa"]),
-        geometry=_geometry(cfg),
-        snr_grid_db=snr_grid,
-        max_symbols=int(sim["max_symbols"]),
-        target_errors=int(sim["target_errors"]),
-        detector=str(sim["detector"]),
-        iterations=int(sim["iterations"]),
-        seed=args.seed,
-        batch_size=int(sim["batch_size"]),
-        threads=args.threads,
-    )
+    try:
+        return SimConfig(
+            kappa=_kappa(cfg),
+            geometry=_geometry(cfg),
+            snr_grid_db=snr_grid,
+            max_symbols=int(sim["max_symbols"]),
+            target_errors=int(sim["target_errors"]),
+            detector=str(sim["detector"]),
+            iterations=int(sim["iterations"]),
+            seed=args.seed,
+            batch_size=int(sim["batch_size"]),
+            threads=args.threads,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_simulate(args, cfg) -> int:
@@ -285,6 +323,8 @@ def _cmd_compare(args, cfg) -> int:
     if len(paths) < 2:
         print("compare needs at least two --codebook files", file=sys.stderr)
         return EXIT_USAGE
+    if not 0 < args.target_ber < 1:
+        raise ConfigError(f"target BER must be in (0, 1), got {args.target_ber:g}")
     sets = _load_codebooks(paths)
     snr_grid = _parse_snr_grid(cfg["analysis"]["snr_grid"])
     geom = _geometry(cfg)

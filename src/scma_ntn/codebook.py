@@ -16,7 +16,6 @@ from .constellation import MotherConstellation, dimension_energy
 from .layering import SignatureMatrix, SystemDims, validate_signature
 
 __all__ = [
-    "Codebook",
     "CodebookSet",
     "CodebookFormatError",
     "mapping_matrix_from_layer",
@@ -31,18 +30,6 @@ NORMALIZATION_TOL = 1e-9
 
 class CodebookFormatError(ValueError):
     """Malformed or dimensionally inconsistent codebook file."""
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """K x M complex codeword matrix of one user/layer."""
-
-    codewords: np.ndarray
-    owner: int = 0
-
-    @property
-    def trace(self) -> float:
-        return float(np.sum(np.abs(self.codewords) ** 2))
 
 
 @dataclass(frozen=True)
@@ -65,6 +52,17 @@ class CodebookSet:
 
     def traces(self) -> np.ndarray:
         return np.sum(np.abs(self.codebooks) ** 2, axis=(1, 2))
+
+    def superimpose(self, tx) -> np.ndarray:
+        """Sum of the users' codewords: (B, J) indices -> (B, K) superpositions.
+
+        Users are added in index order, so a given tx always sums bit-identically.
+        """
+        tx = np.atleast_2d(tx)
+        out = np.zeros((tx.shape[0], self.dims.k_resources), dtype=complex)
+        for l in range(self.dims.j_users):
+            out += self.codebooks[l, :, tx[:, l]]
+        return out
 
     def total_power(self) -> float:
         return float(self.traces().sum())
@@ -95,9 +93,8 @@ def build_codebook(
     v: np.ndarray,
     ops_per_row,
     energy: float,
-    owner: int = 0,
-) -> Codebook:
-    """Assemble one sparse codebook: sqrt(M/(N E)) V diag(q_1..q_N) A.
+) -> np.ndarray:
+    """Assemble one K x M sparse codebook: sqrt(M/(N E)) V diag(q_1..q_N) A.
 
     ops_per_row holds the N operators applied to the nonzero rows top-down.
     With all rho = 1 the trace equals M exactly.
@@ -110,7 +107,7 @@ def build_codebook(
         raise ValueError("mapping matrix and mother constellation dimensions disagree")
     scale = np.sqrt(mc.m_order / (n * energy))
     delta_mat = np.diag([op.value for op in ops])
-    return Codebook(codewords=scale * v @ delta_mat @ mc.rows.astype(complex), owner=owner)
+    return scale * v @ delta_mat @ mc.rows.astype(complex)
 
 
 def build_codebook_set(mc: MotherConstellation, sig: SignatureMatrix) -> CodebookSet:
@@ -131,7 +128,7 @@ def build_codebook_set(mc: MotherConstellation, sig: SignatureMatrix) -> Codeboo
         rows = np.nonzero(sig.entries[:, c])[0]
         ops = [sig.operators[sig.entries[r, c] - 1] for r in rows]
         v = mapping_matrix_from_layer(sig.support[:, c], n)
-        books[c] = build_codebook(mc, v, ops, energy, owner=c).codewords
+        books[c] = build_codebook(mc, v, ops, energy)
     total = float(np.sum(np.abs(books) ** 2))
     books *= np.sqrt(j * mc.m_order / total)
     dims = SystemDims(k_resources=k, j_users=j, m_order=mc.m_order, n_nonzero=n)

@@ -39,9 +39,6 @@ class MotherConstellation:
     m_order: int
     n_dims: int
 
-    def row_energy(self) -> float:
-        return float(np.sum(self.rows[0] ** 2))
-
 
 def pam_amplitudes(m_order: int, delta: float) -> np.ndarray:
     """Amplitude ladder a_m = m*(delta-1) + (2-delta) for m = 1..M/2."""

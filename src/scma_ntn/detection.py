@@ -7,65 +7,13 @@ message passing algorithm (MPA) over the sparse factor graph, which is the
 workhorse for Monte Carlo sweeps.  Both operate on batches for speed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codebook import CodebookSet
 
-__all__ = [
-    "ReceivedSignal",
-    "DetectionResult",
-    "MlDetector",
-    "MpaDetector",
-    "ml_detect",
-    "mpa_detect",
-    "count_bit_errors",
-    "indices_to_bits",
-    "MAX_JOINT_TUPLES",
-]
+__all__ = ["MlDetector", "MpaDetector", "MAX_JOINT_TUPLES"]
 
 MAX_JOINT_TUPLES = 17_000_000
-
-
-@dataclass(frozen=True)
-class ReceivedSignal:
-    """One received vector with its effective channel and noise level."""
-
-    y: np.ndarray
-    channel: np.ndarray
-    n0: float
-
-    def __post_init__(self):
-        if np.asarray(self.y).shape != np.asarray(self.channel).shape:
-            raise ValueError("y and channel must have matching length K")
-        if self.n0 <= 0:
-            raise ValueError("noise level must be positive")
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Per-user codeword index decisions and the corresponding bits."""
-
-    indices: np.ndarray
-    bits: np.ndarray
-
-
-def indices_to_bits(indices: np.ndarray, m_order: int) -> np.ndarray:
-    """Natural-labeling bits of codeword indices, MSB first, concatenated."""
-    bits_per = int(np.log2(m_order))
-    indices = np.asarray(indices)
-    shifts = np.arange(bits_per - 1, -1, -1)
-    return ((indices[..., None] >> shifts) & 1).reshape(*indices.shape[:-1], -1)
-
-
-def count_bit_errors(tx_bits, rx_bits) -> int:
-    """Hamming distance between two equal-length bit arrays."""
-    tx_bits = np.asarray(tx_bits)
-    rx_bits = np.asarray(rx_bits)
-    if tx_bits.shape != rx_bits.shape:
-        raise ValueError("bit arrays must have equal length")
-    return int(np.sum(tx_bits != rx_bits))
 
 
 class MlDetector:
@@ -207,17 +155,3 @@ class MpaDetector:
             belief = np.sum(resid.real**2 + resid.imag**2, axis=1)
             decisions[:, l] = np.argmin(belief, axis=1)
         return decisions
-
-
-def ml_detect(sig: ReceivedSignal, cbs: CodebookSet) -> DetectionResult:
-    """One-shot exhaustive ML detection; see MlDetector for batched use."""
-    det = MlDetector(cbs)
-    idx = det.detect_batch(sig.y[None, :], sig.channel[None, :])[0]
-    return DetectionResult(indices=idx, bits=indices_to_bits(idx, cbs.dims.m_order))
-
-
-def mpa_detect(sig: ReceivedSignal, cbs: CodebookSet, iterations: int = 8) -> DetectionResult:
-    """One-shot max-log MPA detection; see MpaDetector for batched use."""
-    det = MpaDetector(cbs, iterations=iterations)
-    idx = det.detect_batch(sig.y[None, :], sig.channel[None, :], sig.n0)[0]
-    return DetectionResult(indices=idx, bits=indices_to_bits(idx, cbs.dims.m_order))

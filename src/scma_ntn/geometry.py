@@ -5,17 +5,14 @@ hovers over the center at altitude ratio c1 = H/R.  Only the distance ratio
 c2 = r/R enters the link metrics; the polar angle is immaterial.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
     "CellGeometry",
-    "RicianParams",
-    "UserPlacement",
     "sample_radii",
-    "place_users",
     "ordered_distance_pdf",
     "expected_distance_ratio",
     "pathloss_factor",
@@ -40,40 +37,12 @@ class CellGeometry:
             raise ValueError("cell radius must be positive")
 
 
-@dataclass(frozen=True)
-class RicianParams:
-    """Rician factor kappa (linear); kappa = 0 is Rayleigh."""
-
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-
-
-@dataclass(frozen=True)
-class UserPlacement:
-    """Sorted distance ratios (ascending) and polar angles of one drop."""
-
-    distance_ratios: np.ndarray
-    angles: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def sample_radii(j_users: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw J i.i.d. distance ratios with density f(r) = 2r on [0, 1].
+def sample_radii(shape, rng: np.random.Generator) -> np.ndarray:
+    """Distance ratios of the given shape, i.i.d. with density f(r) = 2r on [0, 1].
 
     Inverse-CDF sampling: r = sqrt(u), u uniform.  Returned unsorted.
     """
-    if j_users < 1:
-        raise ValueError("j_users must be >= 1")
-    return np.sqrt(rng.random(j_users))
-
-
-def place_users(j_users: int, rng: np.random.Generator) -> UserPlacement:
-    """One random drop of J users, distance ratios sorted ascending."""
-    radii = np.sort(sample_radii(j_users, rng))
-    angles = rng.uniform(0.0, 2.0 * np.pi, j_users)
-    return UserPlacement(distance_ratios=radii, angles=angles)
+    return np.sqrt(rng.random(shape))
 
 
 def ordered_distance_pdf(j: int, j_users: int, x):

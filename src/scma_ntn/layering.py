@@ -113,9 +113,6 @@ class SignatureMatrix:
     def operator_rhos(self) -> np.ndarray:
         return np.array([op.rho for op in self.operators])
 
-    def operator_values(self) -> np.ndarray:
-        return np.array([op.value for op in self.operators])
-
     def column_powers(self) -> np.ndarray:
         """Total power per column: sum of rho^2 over its operators."""
         rho2 = self.operator_rhos() ** 2

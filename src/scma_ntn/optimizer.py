@@ -95,6 +95,8 @@ class GaConfig:
             raise ValueError("generations must be >= 1")
         if not 0 <= self.elitism < self.population:
             raise ValueError("elitism must be in [0, population)")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ snr index, batch index), so results are bit-identical for a given seed and
 batch structure regardless of the worker count.
 """
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ from .codebook import CodebookSet
 from .detection import MlDetector, MpaDetector
 from .geometry import CellGeometry, pathloss_factor, sample_radii, sample_rician
 
-__all__ = ["SimConfig", "BerResult", "allocate_codebooks", "run_trial", "run_ber_sweep"]
+__all__ = ["SimConfig", "BerResult", "run_ber_sweep"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,8 @@ class SimConfig:
             raise ValueError("counts must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ValueError("snr grid must be sorted ascending")
         if self.detector not in ("mpa", "ml"):
@@ -83,27 +84,6 @@ class BerResult:
                     )
 
 
-def write_manifest(path, payload: dict) -> None:
-    """JSON run manifest; keys sorted so identical runs write identical files."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
-def allocate_codebooks(distances, cbs: CodebookSet) -> np.ndarray:
-    """Map users to codebook columns: larger distance, higher-power column.
-
-    perm[i] is the column for user i; ties in distance and power resolve by
-    index (stable), so equal powers with ascending distances give identity.
-    """
-    distances = np.asarray(distances, dtype=float)
-    if distances.size != cbs.dims.j_users:
-        raise ValueError("distances length must equal the number of codebooks")
-    power_order = np.argsort(cbs.traces(), kind="stable")
-    dist_rank = np.argsort(np.argsort(distances, kind="stable"), kind="stable")
-    return power_order[dist_rank]
-
-
 def _make_detector(cfg: SimConfig, cbs: CodebookSet):
     if cfg.detector == "ml":
         det = MlDetector(cbs)
@@ -112,56 +92,23 @@ def _make_detector(cfg: SimConfig, cbs: CodebookSet):
     return lambda y, h, n0: det.detect_batch(y, h, n0)
 
 
-def run_trial(cfg: SimConfig, cbs: CodebookSet, rng: np.random.Generator, snr_db: float | None = None):
-    """One codeword transmission; per-rank bit error counts, shape (J,).
-
-    Draw order (radii, tx indices, then per user channel and noise) is fixed,
-    so a seeded generator reproduces counts bit-identically.
-    """
-    dims = cbs.dims
-    j_users, m_order = dims.j_users, dims.m_order
-    snr = cfg.snr_grid_db[0] if snr_db is None else snr_db
-    n0 = snr_db_to_n0(snr, dims)
-    if cfg.fixed_distance_ratios is not None:
-        c2 = np.asarray(cfg.fixed_distance_ratios, dtype=float)
-    else:
-        c2 = sample_radii(j_users, rng)
-    perm = allocate_codebooks(c2, cbs)
-    dist_rank = np.argsort(np.argsort(c2, kind="stable"), kind="stable")
-    tx_col = np.empty(j_users, dtype=np.int64)
-    tx_col[perm] = rng.integers(0, m_order, j_users)
-    superposed = np.zeros(dims.k_resources, dtype=complex)
-    for c in range(j_users):
-        superposed += cbs.codebooks[c, :, tx_col[c]]
-    detect = _make_detector(cfg, cbs)
-    errors = np.zeros(j_users, dtype=np.int64)
-    for i in range(j_users):
-        plf = pathloss_factor(cfg.geometry, c2[i])
-        g = sample_rician(dims.k_resources, cfg.kappa, rng)
-        h = plf * g
-        noise = np.sqrt(n0 / 2.0) * (
-            rng.standard_normal(dims.k_resources) + 1j * rng.standard_normal(dims.k_resources)
-        )
-        y = h * superposed + noise
-        decided = detect(y[None, :], h[None, :], n0)[0]
-        col = perm[i]
-        errors[dist_rank[i]] = bin(int(tx_col[col]) ^ int(decided[col])).count("1")
-    return errors
-
-
 def _run_batch(cfg: SimConfig, cbs: CodebookSet, detect, n0: float, batch: int, rng):
-    """Vectorized batch of trials; returns per-rank error counts (J,)."""
+    """Vectorized batch of trials; returns per-rank error counts (J,).
+
+    Distances are sorted ascending, so row r of c2 is the rank-r user; it is
+    served by col_of_rank[r], the r-th weakest column (ties by index).
+    Draw order (radii, tx indices, channels, noise) is fixed, so a seeded
+    generator reproduces the counts bit-identically.
+    """
     dims = cbs.dims
     j_users, k, m_order = dims.j_users, dims.k_resources, dims.m_order
     if cfg.fixed_distance_ratios is not None:
-        c2 = np.tile(np.asarray(cfg.fixed_distance_ratios, dtype=float), (batch, 1))
+        c2 = np.tile(np.sort(np.asarray(cfg.fixed_distance_ratios, dtype=float)), (batch, 1))
     else:
-        c2 = np.sort(np.sqrt(rng.random((batch, j_users))), axis=1)
+        c2 = np.sort(sample_radii((batch, j_users), rng), axis=1)
     col_of_rank = np.argsort(cbs.traces(), kind="stable")
     tx_col = rng.integers(0, m_order, (batch, j_users))
-    superposed = np.zeros((batch, k), dtype=complex)
-    for c in range(j_users):
-        superposed += cbs.codebooks[c, :, tx_col[:, c]]
+    superposed = cbs.superimpose(tx_col)
     g = sample_rician((batch, j_users, k), cfg.kappa, rng)
     noise = np.sqrt(n0 / 2.0) * (
         rng.standard_normal((batch, j_users, k)) + 1j * rng.standard_normal((batch, j_users, k))
@@ -185,6 +132,8 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
     """
     dims = cbs.dims
     j_users = dims.j_users
+    if cfg.fixed_distance_ratios is not None and len(cfg.fixed_distance_ratios) != j_users:
+        raise ValueError("fixed_distance_ratios must hold one ratio per user")
     bits_per = dims.bits_per_symbol
     detect = _make_detector(cfg, cbs)
     snr_grid = np.asarray(cfg.snr_grid_db, dtype=float)

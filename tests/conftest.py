@@ -50,12 +50,3 @@ def reduced_cbs():
     books[1, 0, :] = 1.3 * np.exp(1.1j) * base
     books[2, 1, :] = 1.1 * base
     return CodebookSet.from_codebooks(books, dims)
-
-
-def superimpose(cbs, tx):
-    """Sum of user codewords for (B, J) index array tx -> (B, K)."""
-    tx = np.atleast_2d(tx)
-    out = np.zeros((tx.shape[0], cbs.dims.k_resources), dtype=complex)
-    for l in range(cbs.dims.j_users):
-        out += cbs.codebooks[l][:, tx[:, l]].T
-    return out

@@ -38,7 +38,7 @@ from scma_ntn.detection import MlDetector, MpaDetector
 from scma_ntn.geometry import pathloss_factor
 from scma_ntn.layering import assign_layers_and_power
 
-from conftest import REF_DELTA, REF_RHOS, REF_THETAS, make_codebook_set, superimpose
+from conftest import REF_DELTA, REF_RHOS, REF_THETAS, make_codebook_set
 from test_layering import S_4x6, S_5x10, equivalent_up_to_relabeling, ops_ascending
 
 DIMS = SystemDims(4, 6, 4, 2)
@@ -207,7 +207,7 @@ def test_criterion_7_detector_oracle(ref_imported):
     for snr in (8.0, 25.0):
         n0 = snr_db_to_n0(snr, DIMS)
         tx = rng.integers(0, 4, (10_000, 6))
-        s = superimpose(ref_imported, tx)
+        s = ref_imported.superimpose(tx)
         g = sample_rician((10_000, 4), KAPPA, rng)
         h = pathloss_factor(GEOM, np.sqrt(rng.random(10_000)))[:, None] * g
         noise = np.sqrt(n0 / 2) * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))

@@ -9,7 +9,6 @@ from scma_ntn import (
     CellGeometry,
     CodebookSet,
     ErrorEvent,
-    SnrPoint,
     SystemDims,
     expected_distance_ratio,
     pep,
@@ -68,10 +67,6 @@ def test_rician_mgf_kappa_zero_is_rayleigh():
 def test_snr_convention(dims46):
     assert snr_db_to_n0(0.0, dims46) == pytest.approx(6.0 / 4.0)
     assert snr_db_to_n0(10.0, dims46) == pytest.approx(0.15)
-    pt = SnrPoint.from_db(10.0, dims46)
-    assert pt.noise_n0 == pytest.approx(0.15) and pt.snr_db == 10.0
-    with pytest.raises(ValueError):
-        SnrPoint(noise_n0=0.0, snr_db=1.0)
 
 
 def test_error_event_validation():

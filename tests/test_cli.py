@@ -9,6 +9,22 @@ from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, main
 
 from conftest import make_codebook_set
 
+# Each bad value must end in exit 3 with a one-line message; None is no config file.
+BAD_VALUES = {
+    "design-population-1": (["design", "--population", "1"], None),
+    "design-threads-0": (["design", "--threads", "0"], None),
+    "simulate-threads-0": (["simulate", "--threads", "0"], None),
+    "simulate-descending-grid": (["simulate", "--snr-grid", "12,8"], None),
+    "simulate-negative-iterations": (["simulate", "--iterations", "-1"], None),
+    "simulate-max-symbols-0": (["simulate"], "[simulate]\nmax_symbols = 0\n"),
+    "analyze-truncation-0": (["analyze", "--truncation", "0"], None),
+    "analyze-truncation-word": (["analyze"], "[analysis]\ntruncation = several\n"),
+    "analyze-negative-kappa": (["analyze", "--kappa", "-1"], None),
+    "analyze-kappa-word": (["analyze"], "[link]\nkappa = strong\n"),
+    "analyze-nan-snr": (["analyze", "--snr-grid", "nan,3"], None),
+    "compare-target-ber-0": (["compare", "--target-ber", "0"], None),
+}
+
 
 @pytest.fixture(scope="module")
 def codebook_file(tmp_path_factory):
@@ -136,3 +152,37 @@ def test_malformed_codebook_exit_code(tmp_path, capsys):
 
 def test_infeasible_dims_exit_code(capsys):
     assert main(["assign", "--k-resources", "4", "--j-users", "5", "--n-nonzero", "2"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_3_with_one_line(case, tmp_path, codebook_file, capsys):
+    argv, ini = BAD_VALUES[case]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if argv[0] in ("analyze", "simulate", "compare"):
+        argv += ["--codebook", codebook_file] * (2 if argv[0] == "compare" else 1)
+    if ini is not None:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(ini)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_truncation_none_is_exact(tmp_path, reduced_cbs, capsys):
+    path = tmp_path / "reduced.txt"
+    export_codebook_set(reduced_cbs, path)
+    cfg = tmp_path / "none.ini"
+    cfg.write_text("[analysis]\ntruncation = none\n")
+    common = ["analyze", "--codebook", str(path), "--snr-grid", "6,12"]
+    runs = {
+        "none": ["--config", str(cfg)],
+        "exact": ["--exact-bep"],
+        "one": ["--truncation", "1"],
+    }
+    for name, extra in runs.items():
+        assert main(common + extra + ["--out", str(tmp_path / name)]) == 0
+    tables = {name: (tmp_path / name / "bep.csv").read_bytes() for name in runs}
+    assert tables["none"] == tables["exact"]
+    assert tables["none"] != tables["one"]

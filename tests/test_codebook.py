@@ -39,6 +39,10 @@ def test_mapping_matrix_rejects_wrong_popcount():
         mapping_matrix_from_layer([1, 1, 0, 1], 2)
 
 
+def _trace(codewords):
+    return float(np.sum(np.abs(codewords) ** 2))
+
+
 def _unrotated_codebook(delta=2.0):
     mc = build_mother_constellation(4, 2, delta)
     v = mapping_matrix_from_layer([1, 0, 1, 0], 2)
@@ -48,10 +52,11 @@ def _unrotated_codebook(delta=2.0):
 
 def test_build_codebook_unit_power_rows():
     cb = _unrotated_codebook()
-    assert cb.trace == pytest.approx(4.0, rel=1e-14)
-    assert np.allclose(cb.codewords[0].real, np.array([-2, -1, 1, 2]) / np.sqrt(5))
-    assert np.allclose(cb.codewords[2].real, np.array([-1, 2, -2, 1]) / np.sqrt(5))
-    assert np.allclose(cb.codewords[[1, 3]], 0.0)
+    assert cb.shape == (4, 4)
+    assert _trace(cb) == pytest.approx(4.0, rel=1e-14)
+    assert np.allclose(cb[0].real, np.array([-2, -1, 1, 2]) / np.sqrt(5))
+    assert np.allclose(cb[2].real, np.array([-1, 2, -2, 1]) / np.sqrt(5))
+    assert np.allclose(cb[[1, 3]], 0.0)
 
 
 def test_build_codebook_rotation_preserves_trace():
@@ -60,8 +65,8 @@ def test_build_codebook_rotation_preserves_trace():
     ops = (ConstellationOperator(1.0, 0.0), ConstellationOperator(1.0, np.pi / 2))
     cb = build_codebook(mc, v, ops, dimension_energy(4, 2.0))
     ref = _unrotated_codebook()
-    assert cb.trace == pytest.approx(4.0, rel=1e-14)
-    assert np.allclose(cb.codewords[2], 1j * ref.codewords[2])
+    assert _trace(cb) == pytest.approx(4.0, rel=1e-14)
+    assert np.allclose(cb[2], 1j * ref[2])
 
 
 def test_build_codebook_power_scaling_is_quadratic():
@@ -69,7 +74,7 @@ def test_build_codebook_power_scaling_is_quadratic():
     v = mapping_matrix_from_layer([1, 0, 1, 0], 2)
     ops = (ConstellationOperator(0.5, 0.0), ConstellationOperator(0.5, 0.0))
     cb = build_codebook(mc, v, ops, dimension_energy(4, 2.0))
-    assert cb.trace == pytest.approx(1.0, rel=1e-14)
+    assert _trace(cb) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_build_codebook_dimension_mismatch():
@@ -108,6 +113,13 @@ def test_rotation_only_change_leaves_traces_and_distances(ref_cbs):
 def test_set_supports_match_signature(ref_cbs):
     signature = np.array(ref_cbs.metadata["signature"])
     assert np.array_equal(ref_cbs.supports().T.astype(int), (signature > 0).astype(int))
+
+
+def test_superimpose_sums_user_codewords(ref_cbs):
+    tx = np.array([[0, 1, 2, 3, 0, 1], [3, 3, 3, 3, 3, 3]])
+    want = [sum(ref_cbs.codebooks[l, :, row[l]] for l in range(6)) for row in tx]
+    assert np.allclose(ref_cbs.superimpose(tx), want, rtol=0, atol=1e-15)
+    assert np.array_equal(ref_cbs.superimpose(tx[0]), ref_cbs.superimpose(tx)[:1])
 
 
 def test_two_layer_toy_normalization():

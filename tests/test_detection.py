@@ -1,21 +1,9 @@
 import numpy as np
 import pytest
 
-from scma_ntn import (
-    CellGeometry,
-    CodebookSet,
-    ReceivedSignal,
-    SystemDims,
-    count_bit_errors,
-    ml_detect,
-    mpa_detect,
-    pathloss_factor,
-    sample_rician,
-    snr_db_to_n0,
-)
-from scma_ntn.detection import MAX_JOINT_TUPLES, MlDetector, MpaDetector, indices_to_bits
-
-from conftest import superimpose
+from scma_ntn import CellGeometry, CodebookSet, SimConfig, SystemDims, pathloss_factor, sample_rician, snr_db_to_n0
+from scma_ntn.detection import MAX_JOINT_TUPLES, MlDetector, MpaDetector
+from scma_ntn.simulator import _run_batch
 
 
 def _received_batch(cbs, snr_db, batch, seed, kappa=10.0):
@@ -23,7 +11,7 @@ def _received_batch(cbs, snr_db, batch, seed, kappa=10.0):
     dims = cbs.dims
     n0 = snr_db_to_n0(snr_db, dims)
     tx = rng.integers(0, dims.m_order, (batch, dims.j_users))
-    s = superimpose(cbs, tx)
+    s = cbs.superimpose(tx)
     g = sample_rician((batch, dims.k_resources), kappa, rng)
     c2 = np.sqrt(rng.random(batch))
     h = pathloss_factor(CellGeometry(), c2)[:, None] * g
@@ -37,19 +25,16 @@ def test_ml_recovers_noiseless_tuple(ref_cbs):
     rng = np.random.default_rng(0)
     tx = rng.integers(0, 4, 6)
     h = sample_rician(4, 10.0, rng)
-    y = h * superimpose(ref_cbs, tx)[0]
-    res = ml_detect(ReceivedSignal(y=y, channel=h, n0=1e-9), ref_cbs)
-    assert np.array_equal(res.indices, tx)
-    assert np.array_equal(res.bits, indices_to_bits(tx, 4))
+    y = h * ref_cbs.superimpose(tx)[0]
+    assert np.array_equal(MlDetector(ref_cbs).detect_batch(y, h)[0], tx)
 
 
 def test_mpa_recovers_noiseless_tuple(ref_cbs):
     rng = np.random.default_rng(1)
     tx = rng.integers(0, 4, 6)
     h = sample_rician(4, 10.0, rng)
-    y = h * superimpose(ref_cbs, tx)[0]
-    res = mpa_detect(ReceivedSignal(y=y, channel=h, n0=1e-6), ref_cbs, iterations=8)
-    assert np.array_equal(res.indices, tx)
+    y = h * ref_cbs.superimpose(tx)[0]
+    assert np.array_equal(MpaDetector(ref_cbs, iterations=8).detect_batch(y, h, 1e-6)[0], tx)
 
 
 def test_ml_tie_break_lowest_joint_index():
@@ -58,11 +43,11 @@ def test_ml_tie_break_lowest_joint_index():
     books = np.zeros((1, 2, 2), dtype=complex)
     books[0] = [[1.0, -1.0], [1.0, -1.0]]
     cbs = CodebookSet.from_codebooks(books, dims, normalize=False)
-    sig = ReceivedSignal(y=np.zeros(2, dtype=complex), channel=np.ones(2, dtype=complex), n0=1.0)
-    first = ml_detect(sig, cbs)
-    second = ml_detect(sig, cbs)
-    assert np.array_equal(first.indices, second.indices)
-    assert first.indices[0] == 0
+    y, h = np.zeros((1, 2), dtype=complex), np.ones((1, 2), dtype=complex)
+    first = MlDetector(cbs).detect_batch(y, h)
+    second = MlDetector(cbs).detect_batch(y, h)
+    assert np.array_equal(first, second)
+    assert first[0, 0] == 0
 
 
 def test_ml_low_error_rate_at_high_snr(ref_cbs):
@@ -148,20 +133,43 @@ def test_ml_guard_on_huge_joint_space():
         MlDetector(cbs)
 
 
-def test_count_bit_errors():
-    assert count_bit_errors([0, 1, 1], [0, 1, 1]) == 0
-    assert count_bit_errors([0, 0], [1, 1]) == 2
-    assert count_bit_errors([0, 0], [0, 1]) == 1
+def _decide_in_batch(cbs, decide, seed=0, batch=64):
+    """Per-rank bit errors of _run_batch when every receiver decides decide(tx).
+
+    tx is the (B, J) index batch the simulator sends, replayed from the same
+    seed (radii first, then the indices); decide maps it to a (B, J) tuple.
+    """
+    j = cbs.dims.j_users
+    replay = np.random.default_rng(seed)
+    replay.random((batch, j))
+    tx = replay.integers(0, cbs.dims.m_order, (batch, j))
+    decided = np.repeat(np.asarray(decide(tx), dtype=np.int64), j, axis=0)
+
+    def detect(y, h, n0):
+        return decided
+
+    errors = _run_batch(SimConfig(), cbs, detect, 1.0, batch, np.random.default_rng(seed))
+    return errors, tx
+
+
+def test_count_bit_errors(ref_cbs):
+    # decisions vs sent indices, counted in bits: none, every bit, the low bit
+    errors, tx = _decide_in_batch(ref_cbs, lambda tx: tx)
+    assert np.array_equal(errors, np.zeros(6))
+    errors, tx = _decide_in_batch(ref_cbs, lambda tx: tx ^ 3)
+    assert np.array_equal(errors, np.full(6, 2 * tx.shape[0]))
+    errors, tx = _decide_in_batch(ref_cbs, lambda tx: tx ^ 1)
+    assert np.array_equal(errors, np.full(6, tx.shape[0]))
     with pytest.raises(ValueError):
-        count_bit_errors([0, 1], [0, 1, 1])
+        _decide_in_batch(ref_cbs, lambda tx: tx[:, :-1])
 
 
-def test_indices_to_bits_natural_labeling():
-    assert np.array_equal(indices_to_bits(np.array([0, 1, 2, 3]), 4), [0, 0, 0, 1, 1, 0, 1, 1])
-
-
-def test_received_signal_validation():
-    with pytest.raises(ValueError):
-        ReceivedSignal(y=np.zeros(3), channel=np.zeros(2), n0=1.0)
-    with pytest.raises(ValueError):
-        ReceivedSignal(y=np.zeros(2), channel=np.zeros(2), n0=0.0)
+def test_indices_to_bits_natural_labeling(ref_cbs):
+    # index m carries the natural binary label of m, MSB first
+    labels = ["00", "01", "10", "11"]
+    decided = [3, 0, 1, 2, 3, 0]
+    errors, tx = _decide_in_batch(ref_cbs, lambda tx: np.tile(decided, (tx.shape[0], 1)), seed=2)
+    col_of_rank = np.argsort(ref_cbs.traces(), kind="stable")
+    for r, c in enumerate(col_of_rank):
+        want = sum(a != b for t in tx[:, c] for a, b in zip(labels[t], labels[decided[c]]))
+        assert errors[r] == want

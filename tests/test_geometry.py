@@ -4,11 +4,9 @@ from scipy.integrate import quad
 
 from scma_ntn import (
     CellGeometry,
-    RicianParams,
     expected_distance_ratio,
     ordered_distance_pdf,
     pathloss_factor,
-    place_users,
     sample_radii,
     sample_rician,
 )
@@ -118,15 +116,15 @@ def test_rician_moments_kappa_ten():
     assert g.mean().real == pytest.approx(np.sqrt(10.0 / 11.0), rel=0.005)
 
 
-def test_place_users_sorted():
-    placement = place_users(20, np.random.default_rng(3))
-    assert np.all(np.diff(placement.distance_ratios) >= 0)
-    assert placement.angles.shape == (20,)
+def test_sample_radii_takes_a_shape():
+    # the simulator draws a (batch, J) block in one call; same stream as rng.random
+    draws = sample_radii((5, 6), np.random.default_rng(3))
+    assert draws.shape == (5, 6)
+    assert np.array_equal(draws, np.sqrt(np.random.default_rng(3).random((5, 6))))
+    assert np.all((draws >= 0) & (draws <= 1))
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        sample_radii(0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         ordered_distance_pdf(0, 6, 0.5)
     with pytest.raises(ValueError):
@@ -139,5 +137,3 @@ def test_validation_errors():
         CellGeometry(radius_ratio_c1=0.0)
     with pytest.raises(ValueError):
         CellGeometry(pathloss_alpha=0.5)
-    with pytest.raises(ValueError):
-        RicianParams(kappa=-2.0)

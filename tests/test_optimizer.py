@@ -149,6 +149,9 @@ def test_config_validation():
         GaConfig(generations=0)
     with pytest.raises(ValueError):
         GaConfig(population=4, elitism=4)
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            GaConfig(workers=workers)
     with pytest.raises(ValueError):
         DesignSpace(dims=SystemDims(4, 6, 4, 2), delta_max=1.0)
     with pytest.raises(ValueError):

@@ -1,21 +1,38 @@
 import numpy as np
 import pytest
 
-from scma_ntn import (
-    CodebookSet,
-    SimConfig,
-    SystemDims,
-    allocate_codebooks,
-    run_ber_sweep,
-    run_trial,
-)
+from scma_ntn import CodebookSet, SimConfig, SystemDims, run_ber_sweep
+from scma_ntn.simulator import _make_detector, _run_batch
 
+
+def _blind_batch(cbs, decided, seed=0, batch=64):
+    """_run_batch with a detector that always decides the tuple `decided`.
+
+    Returns the per-rank error counts and the (B, J) indices the batch sent,
+    replayed from the same seed (radii first, then the indices).
+    """
+    j = cbs.dims.j_users
+
+    def detect(y, h, n0):
+        return np.tile(np.asarray(decided, dtype=np.int64), (y.shape[0], 1))
+
+    errors = _run_batch(SimConfig(), cbs, detect, 1.0, batch, np.random.default_rng(seed))
+    replay = np.random.default_rng(seed)
+    replay.random((batch, j))
+    return errors, replay.integers(0, cbs.dims.m_order, (batch, j))
+
+
+def _ones(indices):
+    return np.bitwise_count(indices).sum(axis=0)
 
 
 def test_allocate_reverses_descending_distances(ref_cbs):
-    distances = np.array([0.9, 0.8, 0.6, 0.5, 0.3, 0.1])
-    perm = allocate_codebooks(distances, ref_cbs)
-    assert np.array_equal(perm, [5, 4, 3, 2, 1, 0])
+    # columns stored strictly strongest first: the nearest rank gets the last column
+    scale = np.linspace(1.5, 1.0, 6)[:, None, None]
+    flipped = CodebookSet.from_codebooks(scale * ref_cbs.codebooks[::-1], ref_cbs.dims)
+    errors, tx = _blind_batch(flipped, [0] * 6)
+    assert np.array_equal(errors, _ones(tx)[::-1])
+    assert not np.array_equal(errors, _ones(tx))
 
 
 def test_allocate_equal_powers_identity():
@@ -24,36 +41,46 @@ def test_allocate_equal_powers_identity():
     books[0, 0, :] = [-1, -0.5, 0.5, 1]
     books[1, 1, :] = [-1, -0.5, 0.5, 1]
     cbs = CodebookSet.from_codebooks(books, dims)
-    perm = allocate_codebooks([0.2, 0.7], cbs)
-    assert np.array_equal(perm, [0, 1])
+    errors, tx = _blind_batch(cbs, [0, 0], seed=3)
+    assert np.array_equal(errors, _ones(tx))
 
 
 def test_allocate_farthest_gets_max_power(ref_cbs):
-    rng = np.random.default_rng(9)
-    distances = rng.random(6)
-    perm = allocate_codebooks(distances, ref_cbs)
-    traces = ref_cbs.traces()
-    assert traces[perm[np.argmax(distances)]] == pytest.approx(traces.max())
+    perm = np.random.default_rng(9).permutation(6)
+    scale = np.linspace(1.0, 1.5, 6)[:, None, None]  # breaks the reference set's power ties
+    shuffled = CodebookSet.from_codebooks(scale * ref_cbs.codebooks[perm], ref_cbs.dims)
+    errors, tx = _blind_batch(shuffled, [0] * 6, seed=1)
+    assert errors[-1] == _ones(tx)[np.argmax(shuffled.traces())]
 
 
 def test_allocate_length_mismatch(ref_cbs):
     with pytest.raises(ValueError):
-        allocate_codebooks([0.5, 0.5], ref_cbs)
+        run_ber_sweep(SimConfig(fixed_distance_ratios=(0.5, 0.5)), ref_cbs)
 
 
-def test_run_trial_deterministic(ref_cbs):
+def test_run_batch_deterministic(ref_cbs):
     cfg = SimConfig(kappa=10.0, snr_grid_db=(10.0,), seed=0)
-    a = run_trial(cfg, ref_cbs, np.random.default_rng(123))
-    b = run_trial(cfg, ref_cbs, np.random.default_rng(123))
+    detect = _make_detector(cfg, ref_cbs)
+    a = _run_batch(cfg, ref_cbs, detect, 0.15, 50, np.random.default_rng(123))
+    b = _run_batch(cfg, ref_cbs, detect, 0.15, 50, np.random.default_rng(123))
     assert np.array_equal(a, b)
     assert a.shape == (6,)
 
 
-def test_run_trial_error_free_without_noise(ref_cbs):
-    cfg = SimConfig(kappa=1e12, snr_grid_db=(60.0,), fixed_distance_ratios=(0.0,) * 6)
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        assert run_trial(cfg, ref_cbs, rng).sum() == 0
+def test_sweep_error_free_without_noise(ref_cbs):
+    cfg = SimConfig(
+        kappa=1e12, snr_grid_db=(60.0,), fixed_distance_ratios=(0.0,) * 6, max_symbols=500, batch_size=500
+    )
+    assert run_ber_sweep(cfg, ref_cbs).errors.sum() == 0
+
+
+def test_fixed_distance_ratios_order_is_irrelevant(ref_cbs):
+    # the rank-r user is the r-th nearest, whatever order the ratios are given in
+    base = dict(kappa=10.0, snr_grid_db=(12.0,), max_symbols=2000, target_errors=10**6, batch_size=2000, seed=1)
+    ratios = (0.1, 0.2, 0.4, 0.6, 0.8, 0.95)
+    ascending = run_ber_sweep(SimConfig(fixed_distance_ratios=ratios, **base), ref_cbs)
+    reversed_ = run_ber_sweep(SimConfig(fixed_distance_ratios=ratios[::-1], **base), ref_cbs)
+    assert np.array_equal(ascending.errors, reversed_.errors)
 
 
 def test_sweep_error_free_at_extreme_snr(ref_cbs):
@@ -145,3 +172,5 @@ def test_sim_config_validation():
         SimConfig(max_symbols=0)
     with pytest.raises(ValueError):
         SimConfig(threads=0)
+    with pytest.raises(ValueError):
+        SimConfig(iterations=-1)
