@@ -413,12 +413,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--population", type=int, default=None)
     p_design.add_argument("--generations", type=int, default=None)
     p_design.add_argument("--design-snr-db", dest="design_snr_db", type=float, default=None)
-    p_design.add_argument("--truncation", type=int, default=None, help="max users in error (E*)")
+    p_design.add_argument("--truncation", default=None, help="max users in error (E*), or none for exact")
 
     p_analyze = sub.add_parser("analyze", help="analytical per-user BEP table for a codebook file")
     common(p_analyze, codebook=True)
     p_analyze.add_argument("--snr-grid", dest="snr_grid", default=None, help="comma-separated dB values")
-    p_analyze.add_argument("--truncation", type=int, default=None)
+    p_analyze.add_argument("--truncation", default=None, help="max users in error (E*), or none for exact")
     p_analyze.add_argument("--exact-bep", dest="exact_bep", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo BER sweep for a codebook file")
@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="analyze (and optionally simulate) several codebooks")
     common(p_cmp, codebook=True, many=True)
     p_cmp.add_argument("--snr-grid", dest="snr_grid", default=None)
-    p_cmp.add_argument("--truncation", type=int, default=None)
+    p_cmp.add_argument("--truncation", default=None, help="max users in error (E*), or none for exact")
     p_cmp.add_argument("--exact-bep", dest="exact_bep", action="store_true")
     p_cmp.add_argument("--run-simulation", action="store_true")
     p_cmp.add_argument("--detector", choices=("mpa", "ml"), default=None)

@@ -68,6 +68,17 @@ class MpaDetector:
     Works in the negative log domain (min-sum), which is underflow-free;
     messages are normalized to min zero each pass.  iterations = 0 degrades
     to per-user single-layer demapping that ignores interference.
+
+    Every tensor carries the batch as its last, contiguous axis: the cost of
+    an RN with d colliding users is (M,)*d + (B,) and each message is (M, B),
+    so the min over the other users' axes runs over leading axes.  Decisions
+    are bit-identical to the same algorithm with the batch leading (kept in
+    tests/test_detection.py as the reference), which holds only while two
+    things stay as they are: the order of every floating-point addition
+    (cost + u_0 + u_1 + ..., beliefs summed over the edges in user_edges
+    order, ext - ext.min), and the operand order of the complex product in
+    the residual, channel * local (numpy's complex multiply is not bitwise
+    commutative).
     """
 
     def __init__(self, cbs: CodebookSet, iterations: int = 8):
@@ -83,7 +94,8 @@ class MpaDetector:
             for pos, l in enumerate(users):
                 self.user_edges[l].append((k, pos))
         # Per-RN local superpositions over the M^{d_k} collision hypotheses,
-        # first colliding user on the leading axis.
+        # first colliding user on the leading axis, with a trailing unit axis
+        # that broadcasts against the batch.
         self.local = []
         for k, users in enumerate(self.rn_users):
             d = len(users)
@@ -92,7 +104,13 @@ class MpaDetector:
                 shape = [1] * d
                 shape[i] = self.m_order
                 tab = tab + self.codebooks[l, k, :].reshape(shape)
-            self.local.append(tab)
+            self.local.append(tab[..., None])
+        # Per RN and colliding user i, the other users' axes: the RN-to-user
+        # message minimizes over them, and user i's message broadcasts along them.
+        self.other_axes = [
+            [tuple(a for a in range(len(users)) if a != i) for i in range(len(users))]
+            for users in self.rn_users
+        ]
 
     def detect_batch(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
         y = np.atleast_2d(y)
@@ -113,37 +131,34 @@ class MpaDetector:
     def _detect_chunk(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
         b = y.shape[0]
         m = self.m_order
+        y = np.ascontiguousarray(y.T)  # (K, B)
+        channel = np.ascontiguousarray(channel.T)
         cost = []
-        for k, users in enumerate(self.rn_users):
-            resid = y[:, k].reshape((b,) + (1,) * len(users)) - channel[:, k].reshape(
-                (b,) + (1,) * len(users)
-            ) * self.local[k][None, ...]
+        for k in range(self.k_resources):
+            resid = y[k] - channel[k] * self.local[k]
             cost.append((resid.real**2 + resid.imag**2) / n0)
-        rn_msg = [[np.zeros((b, m)) for _ in users] for users in self.rn_users]
-        user_msg = [[np.zeros((b, m)) for _ in users] for users in self.rn_users]
+        # Scratch buffer per RN for the cost plus the incoming user messages.
+        total = [np.empty_like(c) for c in cost]
+        rn_msg = [[np.zeros((m, b)) for _ in users] for users in self.rn_users]
+        user_msg = [[np.zeros((m, b)) for _ in users] for users in self.rn_users]
         for _ in range(self.iterations):
-            for k, users in enumerate(self.rn_users):
-                d = len(users)
-                total = cost[k]
-                for i in range(d):
-                    shape = [b] + [1] * d
-                    shape[1 + i] = m
-                    total = total + user_msg[k][i].reshape(shape)
-                for i in range(d):
-                    axes = tuple(a for a in range(1, d + 1) if a != i + 1)
-                    mins = total.min(axis=axes) if axes else total
-                    rn_msg[k][i] = mins - user_msg[k][i]
+            for k, others in enumerate(self.other_axes):
+                np.copyto(total[k], cost[k])
+                for i, axes in enumerate(others):
+                    total[k] += np.expand_dims(user_msg[k][i], axes)
+                for i, axes in enumerate(others):
+                    rn_msg[k][i] = total[k].min(axis=axes) - user_msg[k][i]
             for l in range(self.j_users):
                 edges = self.user_edges[l]
                 incoming = [rn_msg[k][pos] for k, pos in edges]
-                full = np.sum(incoming, axis=0)
+                full = sum(incoming[1:], incoming[0])
                 for (k, pos), msg in zip(edges, incoming):
                     ext = full - msg
-                    user_msg[k][pos] = ext - ext.min(axis=1, keepdims=True)
+                    user_msg[k][pos] = ext - ext.min(axis=0)
         decisions = np.zeros((b, self.j_users), dtype=np.int64)
         for l in range(self.j_users):
-            belief = np.sum([rn_msg[k][pos] for k, pos in self.user_edges[l]], axis=0)
-            decisions[:, l] = np.argmin(belief, axis=1)
+            incoming = [rn_msg[k][pos] for k, pos in self.user_edges[l]]
+            decisions[:, l] = np.argmin(sum(incoming[1:], incoming[0]), axis=0)
         return decisions
 
     def _single_user_batch(self, y: np.ndarray, channel: np.ndarray) -> np.ndarray:

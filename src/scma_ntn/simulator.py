@@ -51,6 +51,12 @@ class SimConfig:
             raise ValueError("snr grid must be sorted ascending")
         if self.detector not in ("mpa", "ml"):
             raise ValueError(f"unknown detector {self.detector!r}")
+        if self.fixed_distance_ratios is not None and not all(
+            0.0 <= r <= 1.0 for r in self.fixed_distance_ratios
+        ):
+            raise ValueError(
+                f"fixed distance ratios must lie in [0, 1], got {self.fixed_distance_ratios}"
+            )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ BAD_VALUES = {
     "simulate-max-symbols-0": (["simulate"], "[simulate]\nmax_symbols = 0\n"),
     "analyze-truncation-0": (["analyze", "--truncation", "0"], None),
     "analyze-truncation-word": (["analyze"], "[analysis]\ntruncation = several\n"),
+    "analyze-truncation-flag-word": (["analyze", "--truncation", "abc"], None),
     "analyze-negative-kappa": (["analyze", "--kappa", "-1"], None),
     "analyze-kappa-word": (["analyze"], "[link]\nkappa = strong\n"),
     "analyze-nan-snr": (["analyze", "--snr-grid", "nan,3"], None),
@@ -178,6 +179,7 @@ def test_truncation_none_is_exact(tmp_path, reduced_cbs, capsys):
     common = ["analyze", "--codebook", str(path), "--snr-grid", "6,12"]
     runs = {
         "none": ["--config", str(cfg)],
+        "none-flag": ["--truncation", "none"],
         "exact": ["--exact-bep"],
         "one": ["--truncation", "1"],
     }
@@ -185,4 +187,5 @@ def test_truncation_none_is_exact(tmp_path, reduced_cbs, capsys):
         assert main(common + extra + ["--out", str(tmp_path / name)]) == 0
     tables = {name: (tmp_path / name / "bep.csv").read_bytes() for name in runs}
     assert tables["none"] == tables["exact"]
+    assert tables["none-flag"] == tables["exact"]
     assert tables["none"] != tables["one"]

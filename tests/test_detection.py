@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scma_ntn import CellGeometry, CodebookSet, SimConfig, SystemDims, pathloss_factor, sample_rician, snr_db_to_n0
 from scma_ntn.detection import MAX_JOINT_TUPLES, MlDetector, MpaDetector
@@ -75,6 +77,108 @@ def test_mpa_equals_ml_on_tree_graph(reduced_cbs):
     for iterations in (1, 3, 8):
         mpa = MpaDetector(reduced_cbs, iterations=iterations).detect_batch(y, h, n0)
         assert np.array_equal(ml, mpa)
+
+
+@st.composite
+def tree_graph_receptions(draw):
+    """Receptions over a random tree factor graph, plus one RN no user occupies.
+
+    The tree grows one leaf at a time: a new user on an RN holding fewer
+    than three, or a new RN under an existing user.  Returns the codebook
+    set, (y, channel, n0) and an iteration count no smaller than the depth.
+    """
+    m = draw(st.sampled_from([2, 4]))
+    rn_users = [[0]]
+    j = 1
+    for new_rn in draw(st.lists(st.booleans(), min_size=1, max_size=6 if m == 2 else 4)):
+        open_rns = [k for k, users in enumerate(rn_users) if len(users) < 3]
+        if new_rn or not open_rns:
+            rn_users.append([draw(st.integers(0, j - 1))])
+        else:
+            rn_users[draw(st.sampled_from(open_rns))].append(j)
+            j += 1
+    rn_users.insert(draw(st.integers(0, len(rn_users))), [])
+    k = len(rn_users)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    books = np.zeros((j, k, m), dtype=complex)
+    for rn, users in enumerate(rn_users):
+        for l in users:
+            books[l, rn] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    cbs = CodebookSet.from_codebooks(books, SystemDims(k, j, m, 1))
+    batch = 200
+    tx = rng.integers(0, m, (batch, j))
+    h, w = (rng.standard_normal((2, batch, k)) + 1j * rng.standard_normal((2, batch, k))) / np.sqrt(2)
+    n0 = 10 ** (-draw(st.floats(0.0, 20.0)) / 10)
+    return cbs, h * cbs.superimpose(tx) + np.sqrt(n0) * w, h, n0, k + j
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tree_graph_receptions())
+def test_mpa_equals_ml_on_random_tree_graphs(case):
+    # max-log MPA is exact on a tree once messages have crossed its depth
+    cbs, y, h, n0, depth = case
+    ml = MlDetector(cbs).detect_batch(y, h)
+    for iterations in (depth, depth + 3):
+        assert np.array_equal(MpaDetector(cbs, iterations=iterations).detect_batch(y, h, n0), ml)
+
+
+def test_mpa_chunk_boundaries_and_shapes(ref_cbs):
+    tx, y, h, n0 = _received_batch(ref_cbs, 6.0, 2 * 2048 + 3, seed=9)
+    det = MpaDetector(ref_cbs, iterations=8)
+    whole = det.detect_batch(y, h, n0)
+    bounds = ((0, 2048), (2048, 4096), (4096, 4099))
+    parts = [det.detect_batch(y[lo:hi], h[lo:hi], n0) for lo, hi in bounds]
+    assert whole.shape == (4099, 6)
+    assert np.array_equal(whole, np.concatenate(parts))
+    single = det.detect_batch(y[5], h[5], n0)
+    assert single.shape == (1, 6)
+    assert np.array_equal(single, whole[5:6])
+
+
+def _batch_leading_mpa(det, y, channel, n0):
+    """The detector's max-log MPA with the batch on the leading axis.
+
+    The reference layout: (B,) + (M,)*d costs and (B, M) messages, with the
+    same additions in the same order, so decisions must match bit for bit.
+    """
+    b, m = y.shape[0], det.m_order
+    cost = []
+    for k, users in enumerate(det.rn_users):
+        shape = (b,) + (1,) * len(users)
+        resid = y[:, k].reshape(shape) - channel[:, k].reshape(shape) * det.local[k][None, ..., 0]
+        cost.append((resid.real**2 + resid.imag**2) / n0)
+    rn_msg = [[np.zeros((b, m)) for _ in users] for users in det.rn_users]
+    user_msg = [[np.zeros((b, m)) for _ in users] for users in det.rn_users]
+    for _ in range(det.iterations):
+        for k, users in enumerate(det.rn_users):
+            d = len(users)
+            total = cost[k]
+            for i in range(d):
+                shape = [b] + [1] * d
+                shape[1 + i] = m
+                total = total + user_msg[k][i].reshape(shape)
+            for i in range(d):
+                axes = tuple(a for a in range(1, d + 1) if a != i + 1)
+                rn_msg[k][i] = (total.min(axis=axes) if axes else total) - user_msg[k][i]
+        for edges in det.user_edges:
+            incoming = [rn_msg[k][pos] for k, pos in edges]
+            full = np.sum(incoming, axis=0)
+            for (k, pos), msg in zip(edges, incoming):
+                ext = full - msg
+                user_msg[k][pos] = ext - ext.min(axis=1, keepdims=True)
+    beliefs = [np.sum([rn_msg[k][pos] for k, pos in edges], axis=0) for edges in det.user_edges]
+    return np.stack([np.argmin(belief, axis=1) for belief in beliefs], axis=1)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 6.0, 12.0, 24.0])
+def test_mpa_matches_batch_leading_reference(ref_cbs, reduced_cbs, snr_db):
+    tx, y, h, n0 = _received_batch(ref_cbs, snr_db, 4096, seed=10)
+    det = MpaDetector(ref_cbs, iterations=8)
+    assert np.array_equal(det.detect_batch(y, h, n0), _batch_leading_mpa(det, y, h, n0))
+    tx, y, h, n0 = _received_batch(reduced_cbs, snr_db, 4096, seed=11)
+    for iterations in (1, 3):
+        det = MpaDetector(reduced_cbs, iterations=iterations)
+        assert np.array_equal(det.detect_batch(y, h, n0), _batch_leading_mpa(det, y, h, n0))
 
 
 def test_mpa_agreement_with_ml_on_loopy_graph(ref_cbs):

@@ -174,3 +174,7 @@ def test_sim_config_validation():
         SimConfig(threads=0)
     with pytest.raises(ValueError):
         SimConfig(iterations=-1)
+    for bad in (5.0, 1.5, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SimConfig(fixed_distance_ratios=(0.5,) * 5 + (bad,))
+    SimConfig(fixed_distance_ratios=(0.0,) * 3 + (1.0,) * 3)
