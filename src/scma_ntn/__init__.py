@@ -20,11 +20,9 @@ from .analysis import (
 )
 from .codebook import (
     CodebookSet,
-    build_codebook,
     build_codebook_set,
     export_codebook_set,
     import_codebook_set,
-    mapping_matrix_from_layer,
 )
 from .constellation import MotherConstellation, build_mother_constellation, dimension_energy
 from .detection import MlDetector, MpaDetector
@@ -42,7 +40,6 @@ from .layering import (
     SignatureMatrix,
     SystemDims,
     assign_layers_and_power,
-    enumerate_layer_patterns,
     validate_signature,
 )
 from .optimizer import (

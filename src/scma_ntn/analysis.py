@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
+# Gauss-Legendre nodes of the quadrature distance mode.
+_QUAD_ORDER = 32
 
 
 def q_approx(x):
@@ -165,7 +167,6 @@ def _enumerate_user_bep(
     kappa: float,
     n0: float,
     max_users_in_error: int,
-    tables=None,
 ) -> np.ndarray:
     """Union-bound numerators at each geometry gain, factorized over error supports.
 
@@ -174,7 +175,7 @@ def _enumerate_user_bep(
     """
     j_users = cbs.dims.j_users
     m = cbs.dims.m_order
-    diffs, bit_weights = tables if tables is not None else _difference_tables(cbs)
+    diffs, bit_weights = _difference_tables(cbs)
     n_pairs = diffs.shape[1]
     supports = cbs.supports()
     others = [l for l in range(j_users) if l != target]
@@ -210,8 +211,6 @@ def user_bep(
     truncation: int | None = None,
     distance_mode: str = "mean",
     c2: float | None = None,
-    quad_order: int = 32,
-    _tables=None,
 ) -> float:
     """Upper bound on the BEP of the user at distance rank j (1-based).
 
@@ -235,14 +234,14 @@ def user_bep(
         gammas = np.array([_geometry_gain(geom, expected_distance_ratio(j_rank, j_users))])
         quad_w = np.array([1.0])
     elif distance_mode == "quadrature":
-        nodes, w = np.polynomial.legendre.leggauss(quad_order)
+        nodes, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
         x = 0.5 * (nodes + 1.0)
         quad_w = 0.5 * w * ordered_distance_pdf(j_rank, j_users, x)
         gammas = np.array([_geometry_gain(geom, xi) for xi in x])
     else:
         raise ValueError(f"unknown distance_mode {distance_mode!r}")
 
-    totals = _enumerate_user_bep(cbs, j_rank - 1, gammas, kappa, n0, e_star, tables=_tables)
+    totals = _enumerate_user_bep(cbs, j_rank - 1, gammas, kappa, n0, e_star)
     m = cbs.dims.m_order
     norm = float(m) ** j_users * np.log2(m)
     return float((quad_w @ totals) / norm)
@@ -257,19 +256,9 @@ def set_bep(
     distance_mode: str = "mean",
 ) -> BepSummary:
     """Average and worst BEP bounds over all users, plus the per-user vector."""
-    tables = _difference_tables(cbs)
     per_user = np.array(
         [
-            user_bep(
-                j,
-                cbs,
-                geom,
-                kappa,
-                n0,
-                truncation=truncation,
-                distance_mode=distance_mode,
-                _tables=tables,
-            )
+            user_bep(j, cbs, geom, kappa, n0, truncation=truncation, distance_mode=distance_mode)
             for j in range(1, cbs.dims.j_users + 1)
         ]
     )

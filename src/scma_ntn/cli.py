@@ -145,8 +145,8 @@ def _kappa(cfg) -> float:
         kappa = float(cfg["link"]["kappa"])
     except ValueError as exc:
         raise ConfigError(f"bad kappa {cfg['link']['kappa']!r}") from exc
-    if not kappa >= 0:
-        raise ConfigError(f"kappa must be >= 0, got {kappa:g}")
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise ConfigError(f"kappa must be finite and >= 0, got {kappa:g}")
     return kappa
 
 

@@ -2,9 +2,11 @@
 
 A user codebook is X = sqrt(M/(N E)) V Delta A: the N x M mother
 constellation A rotated/scaled per dimension by Delta, lifted to K
-dimensions by the mapping matrix V.  The set of J codebooks is rescaled by
-one global factor so the total power equals J*M, preserving the relative
-power ratios the signature operators encode.
+dimensions by the K x N mapping matrix V.  V only places the n-th scaled
+row at the n-th RN of the layer, so the rows are written there directly.
+The set of J codebooks is rescaled by one global factor so the total power
+equals J*M, preserving the relative power ratios the signature operators
+encode.
 """
 
 import warnings
@@ -18,8 +20,6 @@ from .layering import SignatureMatrix, SystemDims, validate_signature
 __all__ = [
     "CodebookSet",
     "CodebookFormatError",
-    "mapping_matrix_from_layer",
-    "build_codebook",
     "build_codebook_set",
     "export_codebook_set",
     "import_codebook_set",
@@ -41,13 +41,12 @@ class CodebookSet:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_codebooks(cls, books, dims: SystemDims, metadata=None, normalize: bool = True) -> "CodebookSet":
-        """Wrap hand-assembled (J, K, M) codewords, rescaling to total power J*M."""
+    def from_codebooks(cls, books, dims: SystemDims, metadata=None) -> "CodebookSet":
+        """Wrap (J, K, M) codewords, rescaled by one factor to total power J*M."""
         books = np.asarray(books, dtype=complex)
         if books.shape != (dims.j_users, dims.k_resources, dims.m_order):
             raise ValueError(f"expected shape {(dims.j_users, dims.k_resources, dims.m_order)}, got {books.shape}")
-        if normalize:
-            books = books * np.sqrt(dims.j_users * dims.m_order / np.sum(np.abs(books) ** 2))
+        books = books * np.sqrt(dims.j_users * dims.m_order / np.sum(np.abs(books) ** 2))
         return cls(codebooks=books, dims=dims, metadata=dict(metadata or {}))
 
     def traces(self) -> np.ndarray:
@@ -77,67 +76,35 @@ class CodebookSet:
         return [list(np.nonzero(occ[:, k])[0]) for k in range(self.dims.k_resources)]
 
 
-def mapping_matrix_from_layer(f_j: np.ndarray, n_nonzero: int) -> np.ndarray:
-    """K x N mapping matrix: the n-th unit row sits at the n-th one of f_j."""
-    f_j = np.asarray(f_j).ravel()
-    rows = np.nonzero(f_j)[0]
-    if len(rows) != n_nonzero:
-        raise ValueError(f"layer has {len(rows)} ones, expected {n_nonzero}")
-    v = np.zeros((f_j.size, n_nonzero))
-    v[rows, np.arange(n_nonzero)] = 1.0
-    return v
-
-
-def build_codebook(
-    mc: MotherConstellation,
-    v: np.ndarray,
-    ops_per_row,
-    energy: float,
-) -> np.ndarray:
-    """Assemble one K x M sparse codebook: sqrt(M/(N E)) V diag(q_1..q_N) A.
-
-    ops_per_row holds the N operators applied to the nonzero rows top-down.
-    With all rho = 1 the trace equals M exactly.
-    """
-    ops = tuple(ops_per_row)
-    n = v.shape[1]
-    if len(ops) != n:
-        raise ValueError(f"expected {n} operators, got {len(ops)}")
-    if v.shape[0] < n or mc.rows.shape[0] != n:
-        raise ValueError("mapping matrix and mother constellation dimensions disagree")
-    scale = np.sqrt(mc.m_order / (n * energy))
-    delta_mat = np.diag([op.value for op in ops])
-    return scale * v @ delta_mat @ mc.rows.astype(complex)
-
-
 def build_codebook_set(mc: MotherConstellation, sig: SignatureMatrix) -> CodebookSet:
     """Per-layer codebooks from a signature matrix, globally renormalized.
 
-    The signature column order is kept, so column j remains the ascending-
-    power rank-j codebook.  After the global rescale the total power is
-    exactly J*M while relative layer powers are preserved.
+    Column c places sqrt(M/(N E)) q A[n] at the n-th RN of its layer, where
+    q is the operator the signature assigns there.  The signature column
+    order is kept, so column j remains the ascending-power rank-j codebook.
+    After the global rescale the total power is exactly J*M while relative
+    layer powers are preserved.
     """
     report = validate_signature(sig)
     if not report.ok:
         raise ValueError("invalid signature matrix: " + "; ".join(report.messages))
     k, j = sig.entries.shape
     n = int(sig.support[:, 0].sum())
-    energy = dimension_energy(mc.m_order, mc.delta)
+    if mc.rows.shape[0] != n:
+        raise ValueError(f"mother constellation has {mc.rows.shape[0]} rows, layers have N = {n}")
+    scale = np.sqrt(mc.m_order / (n * dimension_energy(mc.m_order, mc.delta)))
+    q = np.array([op.value for op in sig.operators])
     books = np.zeros((j, k, mc.m_order), dtype=complex)
     for c in range(j):
         rows = np.nonzero(sig.entries[:, c])[0]
-        ops = [sig.operators[sig.entries[r, c] - 1] for r in rows]
-        v = mapping_matrix_from_layer(sig.support[:, c], n)
-        books[c] = build_codebook(mc, v, ops, energy)
-    total = float(np.sum(np.abs(books) ** 2))
-    books *= np.sqrt(j * mc.m_order / total)
+        books[c, rows] = (scale * q[sig.entries[rows, c] - 1])[:, None] * mc.rows
     dims = SystemDims(k_resources=k, j_users=j, m_order=mc.m_order, n_nonzero=n)
     meta = {
         "delta": mc.delta,
         "operators": [(op.rho, op.theta) for op in sig.operators],
         "signature": sig.entries.tolist(),
     }
-    return CodebookSet(codebooks=books, dims=dims, metadata=meta)
+    return CodebookSet.from_codebooks(books, dims, meta)
 
 
 def _fmt(x: float) -> str:

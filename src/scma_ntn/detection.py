@@ -33,33 +33,26 @@ class MlDetector:
         for l in range(j):
             table = (table[:, None, :] + cbs.codebooks[l].T[None, :, :]).reshape(-1, k)
         self.table = table.T.copy()  # (K, M^J)
+        self.table2 = self.table.real**2 + self.table.imag**2
 
     def detect_batch(self, y: np.ndarray, channel: np.ndarray) -> np.ndarray:
         """Joint decisions for a batch: (B, K) inputs -> (B, J) indices.
 
         ||y - h s||^2 expands to const - 2 Re(<conj(y) h, s>) + <|h|^2, |s|^2>,
-        so the search is two matrix products against the tuple table.
+        so the search is two matrix products against the tuple table, taken
+        over row blocks that keep each block's cost matrix near 2^21 entries.
         """
         y = np.atleast_2d(y)
         channel = np.atleast_2d(channel)
         best_idx = np.zeros(y.shape[0], dtype=np.int64)
-        table2 = self.table.real**2 + self.table.imag**2
-        step = max(1, (1 << 25) // max(1, self.table.shape[1]))
+        step = max(1, (1 << 21) // self.table.shape[1])
         for lo in range(0, y.shape[0], step):
             hi = min(lo + step, y.shape[0])
             u = np.conj(y[lo:hi]) * channel[lo:hi]
             w = channel[lo:hi].real**2 + channel[lo:hi].imag**2
-            cost = w @ table2 - 2.0 * (u @ self.table).real
+            cost = w @ self.table2 - 2.0 * (u @ self.table).real
             best_idx[lo:hi] = np.argmin(cost, axis=1)
-        return self._unpack(best_idx)
-
-    def _unpack(self, joint: np.ndarray) -> np.ndarray:
-        out = np.zeros((joint.size, self.j_users), dtype=np.int64)
-        rem = joint.copy()
-        for l in range(self.j_users - 1, -1, -1):
-            out[:, l] = rem % self.m_order
-            rem //= self.m_order
-        return out
+        return np.stack(np.unravel_index(best_idx, (self.m_order,) * self.j_users), axis=1)
 
 
 class MpaDetector:

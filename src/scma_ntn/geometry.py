@@ -26,15 +26,12 @@ class CellGeometry:
 
     radius_ratio_c1: float = 1.0
     pathloss_alpha: float = 3.0
-    cell_radius: float = 1.0
 
     def __post_init__(self):
-        if self.radius_ratio_c1 <= 0:
-            raise ValueError("c1 must be positive")
-        if self.pathloss_alpha < 1:
-            raise ValueError("path-loss exponent must be >= 1")
-        if self.cell_radius <= 0:
-            raise ValueError("cell radius must be positive")
+        if not (np.isfinite(self.radius_ratio_c1) and self.radius_ratio_c1 > 0):
+            raise ValueError(f"c1 must be finite and positive, got {self.radius_ratio_c1}")
+        if not (np.isfinite(self.pathloss_alpha) and self.pathloss_alpha >= 1):
+            raise ValueError(f"path-loss exponent must be finite and >= 1, got {self.pathloss_alpha}")
 
 
 def sample_radii(shape, rng: np.random.Generator) -> np.ndarray:

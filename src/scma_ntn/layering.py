@@ -20,7 +20,6 @@ __all__ = [
     "SignatureMatrix",
     "SignatureReport",
     "LayeringError",
-    "enumerate_layer_patterns",
     "assign_layers_and_power",
     "validate_signature",
 ]
@@ -141,20 +140,6 @@ class SignatureReport:
 def _patterns(k: int, n: int) -> list:
     """All C(K, N) binary columns with N ones, lexicographic by positions."""
     return [frozenset(rows) for rows in combinations(range(k), n)]
-
-
-def enumerate_layer_patterns(k_resources: int, n_nonzero: int) -> np.ndarray:
-    """All distinct layers with N ones over K RNs, shape (C(K,N), K).
-
-    Deterministic lexicographic order of the one-positions; N >= K is
-    rejected (a layer must leave at least one RN vacant).
-    """
-    if not 0 < n_nonzero < k_resources:
-        raise ValueError(f"need 0 < N < K, got N={n_nonzero}, K={k_resources}")
-    out = np.zeros((comb(k_resources, n_nonzero), k_resources), dtype=int)
-    for i, rows in enumerate(combinations(range(k_resources), n_nonzero)):
-        out[i, list(rows)] = 1
-    return out
 
 
 def _pack_layers(k: int, n: int, d_f: int, n_groups_size: int, n_residual: int):

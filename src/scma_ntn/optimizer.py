@@ -10,6 +10,7 @@ mutation minimizes it.  Runs are bit-reproducible for a given seed.
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -30,21 +31,21 @@ __all__ = [
     "run_ga",
 ]
 
+# Design box: delta in (1, DELTA_MAX], rho in [RHO_MIN, 1], theta in [0, pi).
+DELTA_MAX = 4.0
+RHO_MIN = 0.05
+# GA recipe: tournament size, blend-crossover alpha, and the mutation
+# standard deviation as a fraction of each parameter's range.
+TOURNAMENT = 3
+BLEND_ALPHA = 0.5
+MUTATION_SIGMA_FRAC = 0.1
+
 
 @dataclass(frozen=True)
 class DesignSpace:
     """Box bounds of the 2*d_f + 1 design parameters for given dims."""
 
     dims: SystemDims
-    delta_max: float = 4.0
-    rho_min: float = 0.05
-    theta_max: float = float(np.pi)
-
-    def __post_init__(self):
-        if self.delta_max <= 1.0:
-            raise ValueError("delta_max must exceed 1")
-        if not 0.0 < self.rho_min < 1.0:
-            raise ValueError("rho_min must be in (0, 1)")
 
     @property
     def n_operators(self) -> int:
@@ -56,12 +57,12 @@ class DesignSpace:
 
     def lower(self) -> np.ndarray:
         d = self.n_operators
-        return np.concatenate([[1.0], np.full(d, self.rho_min), np.zeros(d)])
+        return np.concatenate([[1.0], np.full(d, RHO_MIN), np.zeros(d)])
 
     def upper(self) -> np.ndarray:
         d = self.n_operators
         # theta strictly below pi; delta strictly above 1 is enforced by clip epsilon
-        return np.concatenate([[self.delta_max], np.ones(d), np.full(d, self.theta_max - 1e-9)])
+        return np.concatenate([[DELTA_MAX], np.ones(d), np.full(d, np.pi - 1e-9)])
 
     def clip(self, vec: np.ndarray) -> np.ndarray:
         lo = self.lower()
@@ -79,11 +80,8 @@ class GaConfig:
     kappa: float = 10.0
     geometry: CellGeometry = field(default_factory=CellGeometry)
     elitism: int = 2
-    tournament: int = 3
     crossover_rate: float = 0.9
-    blend_alpha: float = 0.5
     mutation_rate: float = 0.15
-    mutation_sigma_frac: float = 0.1
     truncation: int | None = 3
     seed: int = 0
     workers: int = 1
@@ -97,6 +95,14 @@ class GaConfig:
             raise ValueError("elitism must be in [0, population)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not (np.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not np.isfinite(self.design_snr_db):
+            raise ValueError(f"design SNR must be finite, got {self.design_snr_db}")
+        if self.truncation is not None and not (
+            isinstance(self.truncation, Integral) and self.truncation >= 1
+        ):
+            raise ValueError(f"truncation must be None or an integer >= 1, got {self.truncation!r}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +209,12 @@ def run_ga(space: DesignSpace, cfg: GaConfig, initial=None) -> GaResult:
     population = _evaluate(candidates, cfg, space)
 
     def tournament_pick():
-        idx = rng.integers(0, len(population), cfg.tournament)
+        idx = rng.integers(0, len(population), TOURNAMENT)
         return min(idx, key=lambda i: population[i].fitness)
 
     history = []
     best = min(population, key=lambda c: c.fitness)
-    sigma = cfg.mutation_sigma_frac * (hi - lo)
+    sigma = MUTATION_SIGMA_FRAC * (hi - lo)
     for _ in range(cfg.generations):
         elite = sorted(population, key=lambda c: c.fitness)[: cfg.elitism]
         children = []
@@ -219,7 +225,7 @@ def run_ga(space: DesignSpace, cfg: GaConfig, initial=None) -> GaResult:
                 lo_g = np.minimum(p1, p2)
                 hi_g = np.maximum(p1, p2)
                 span = hi_g - lo_g
-                child = rng.uniform(lo_g - cfg.blend_alpha * span, hi_g + cfg.blend_alpha * span)
+                child = rng.uniform(lo_g - BLEND_ALPHA * span, hi_g + BLEND_ALPHA * span)
             else:
                 child = p1.copy()
             mutate = rng.random(space.dimension) < cfg.mutation_rate

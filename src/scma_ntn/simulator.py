@@ -47,6 +47,10 @@ class SimConfig:
             raise ValueError("threads must be >= 1")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if not (np.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not np.all(np.isfinite(self.snr_grid_db)):
+            raise ValueError(f"snr grid values must be finite, got {self.snr_grid_db}")
         if list(self.snr_grid_db) != sorted(self.snr_grid_db):
             raise ValueError("snr grid must be sorted ascending")
         if self.detector not in ("mpa", "ml"):

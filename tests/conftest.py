@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from scma_ntn import (
     CellGeometry,
@@ -23,6 +24,21 @@ def make_codebook_set(delta, rhos, thetas, dims=None):
     ops = tuple(ConstellationOperator(rho=r, theta=t) for r, t in zip(rhos, thetas))
     mc = build_mother_constellation(dims.m_order, dims.n_nonzero, delta)
     return build_codebook_set(mc, assign_layers_and_power(ops, dims))
+
+
+# Small regular factor graphs (K, J, M, N) whose exact union bound takes milliseconds.
+SMALL_DIMS = [(2, 1, 4, 2), (2, 2, 4, 1), (3, 3, 2, 2), (3, 3, 4, 2), (4, 6, 2, 2), (6, 4, 2, 3)]
+
+
+@st.composite
+def small_sets(draw, dims_choices=tuple(SMALL_DIMS)):
+    """A designed codebook set with random delta, operator powers and rotations."""
+    dims = SystemDims(*draw(st.sampled_from(dims_choices)))
+    d_f = dims.df_collisions
+    operator = st.lists(st.floats(0.05, 1.0), min_size=d_f, max_size=d_f)
+    rhos = sorted(draw(operator))
+    thetas = draw(st.lists(st.floats(0.0, 3.14), min_size=d_f, max_size=d_f))
+    return make_codebook_set(draw(st.floats(1.0, 4.0)), rhos, thetas, dims)
 
 
 @pytest.fixture(scope="session")

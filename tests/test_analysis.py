@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 import scma_ntn.analysis as analysis_mod
@@ -20,6 +22,8 @@ from scma_ntn import (
     user_bep,
 )
 from scma_ntn.analysis import effective_snr_terms, write_bep_csv
+
+from conftest import small_sets
 
 
 
@@ -90,7 +94,7 @@ def test_effective_snr_single_user_unit_geometry():
     dims = SystemDims(2, 1, 2, 1)
     books = np.zeros((1, 2, 2), dtype=complex)
     books[0, 0, :] = [1.0, -1.0]
-    cbs = CodebookSet.from_codebooks(books, dims, normalize=False)
+    cbs = CodebookSet(codebooks=books, dims=dims)
     ev = ErrorEvent(tx_indices=(0,), rx_indices=(1,), target_user=0)
     sk = effective_snr_terms(ev, cbs, 0.0, CellGeometry(pathloss_alpha=3.0), 0.5)
     assert sk[0] == pytest.approx(4.0 / 0.5)  # |d|^2 / N0 with unit geometry factor
@@ -102,7 +106,7 @@ def test_effective_snr_destructive_collision():
     books = np.zeros((2, 1, 2), dtype=complex)
     books[0, 0, :] = [1.0, -1.0]
     books[1, 0, :] = [-1.0, 1.0]
-    cbs = CodebookSet.from_codebooks(books, dims, normalize=False)
+    cbs = CodebookSet(codebooks=books, dims=dims)
     ev = ErrorEvent(tx_indices=(0, 0), rx_indices=(1, 1), target_user=0)
     sk = effective_snr_terms(ev, cbs, 0.0, CellGeometry(), 1.0)
     assert sk[0] == pytest.approx(0.0, abs=1e-30)
@@ -112,7 +116,7 @@ def test_pep_saturates_at_one_third():
     dims = SystemDims(1, 1, 2, 1)
     books = np.zeros((1, 1, 2), dtype=complex)
     books[0, 0, :] = [1.0, 1.0]  # duplicated codewords: zero difference
-    cbs = CodebookSet.from_codebooks(books, dims, normalize=False)
+    cbs = CodebookSet(codebooks=books, dims=dims)
     ev = ErrorEvent(tx_indices=(0,), rx_indices=(1,), target_user=0)
     assert pep(ev, cbs, 0.5, CellGeometry(), 7.0, 0.3) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
@@ -122,7 +126,7 @@ def test_pep_hand_computed_rayleigh_point():
     dims = SystemDims(1, 1, 2, 1)
     books = np.zeros((1, 1, 2), dtype=complex)
     books[0, 0, :] = [1.0, -1.0]
-    cbs = CodebookSet.from_codebooks(books, dims, normalize=False)
+    cbs = CodebookSet(codebooks=books, dims=dims)
     ev = ErrorEvent(tx_indices=(0,), rx_indices=(1,), target_user=0)
     val = pep(ev, cbs, 0.0, CellGeometry(), 0.0, 1.0)
     assert val == pytest.approx(1.0 / 24.0 + 3.0 / 28.0, rel=1e-14)
@@ -180,6 +184,21 @@ def test_user_bep_monotone_in_snr(ref_cbs, geom):
         for snr in (0.0, 5.0, 10.0, 15.0, 20.0)
     ]
     assert np.all(np.diff(vals) < 0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    small_sets(),
+    st.floats(0.0, 20.0),
+    st.floats(-5.0, 10.0),
+    st.lists(st.floats(0.5, 8.0), min_size=1, max_size=3),
+)
+def test_set_bep_non_increasing_in_snr(cbs, kappa, first_snr, steps):
+    grid = first_snr + np.cumsum([0.0] + steps)
+    n0s = [snr_db_to_n0(s, cbs.dims) for s in grid]
+    for truncation in (1, 2, None):
+        per_user = np.array([set_bep(cbs, CellGeometry(), kappa, n0, truncation=truncation).per_user for n0 in n0s])
+        assert np.all(np.diff(per_user, axis=0) <= 0), (truncation, per_user)
 
 
 def test_user_bep_truncation_gap_documented(ref_cbs, geom):

@@ -13,6 +13,7 @@ from conftest import make_codebook_set
 BAD_VALUES = {
     "design-population-1": (["design", "--population", "1"], None),
     "design-threads-0": (["design", "--threads", "0"], None),
+    "design-nan-snr": (["design", "--population", "3", "--generations", "1", "--design-snr-db", "nan"], None),
     "simulate-threads-0": (["simulate", "--threads", "0"], None),
     "simulate-descending-grid": (["simulate", "--snr-grid", "12,8"], None),
     "simulate-negative-iterations": (["simulate", "--iterations", "-1"], None),
@@ -22,7 +23,9 @@ BAD_VALUES = {
     "analyze-truncation-flag-word": (["analyze", "--truncation", "abc"], None),
     "analyze-negative-kappa": (["analyze", "--kappa", "-1"], None),
     "analyze-kappa-word": (["analyze"], "[link]\nkappa = strong\n"),
+    "analyze-inf-kappa": (["analyze", "--kappa", "inf"], None),
     "analyze-nan-snr": (["analyze", "--snr-grid", "nan,3"], None),
+    "analyze-nan-c1": (["analyze", "--c1", "nan"], None),
     "compare-target-ber-0": (["compare", "--target-ber", "0"], None),
 }
 

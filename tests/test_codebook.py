@@ -1,87 +1,107 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from scma_ntn import (
     CodebookSet,
     ConstellationOperator,
     SystemDims,
-    build_codebook,
+    assign_layers_and_power,
     build_codebook_set,
     build_mother_constellation,
     dimension_energy,
     export_codebook_set,
     import_codebook_set,
-    mapping_matrix_from_layer,
 )
 from scma_ntn.codebook import CodebookFormatError
 
-from conftest import make_codebook_set
-
-
-def test_mapping_matrix_published_examples():
-    v1 = mapping_matrix_from_layer([0, 1, 0, 1], 2)
-    assert np.array_equal(v1, [[0, 0], [1, 0], [0, 0], [0, 1]])
-    v2 = mapping_matrix_from_layer([1, 0, 1, 0], 2)
-    assert np.array_equal(v2, [[1, 0], [0, 0], [0, 1], [0, 0]])
-
-
-def test_mapping_matrix_identity_case():
-    assert np.array_equal(mapping_matrix_from_layer([1, 1], 2), np.eye(2))
-
-
-def test_mapping_matrix_is_orthonormal():
-    v = mapping_matrix_from_layer([1, 0, 0, 1, 1, 0], 3)
-    assert np.array_equal(v.T @ v, np.eye(3))
-
-
-def test_mapping_matrix_rejects_wrong_popcount():
-    with pytest.raises(ValueError):
-        mapping_matrix_from_layer([1, 1, 0, 1], 2)
+from conftest import SMALL_DIMS, make_codebook_set, small_sets
 
 
 def _trace(codewords):
     return float(np.sum(np.abs(codewords) ** 2))
 
 
-def _unrotated_codebook(delta=2.0):
-    mc = build_mother_constellation(4, 2, delta)
-    v = mapping_matrix_from_layer([1, 0, 1, 0], 2)
-    ops = (ConstellationOperator(1.0, 0.0), ConstellationOperator(1.0, 0.0))
-    return build_codebook(mc, v, ops, dimension_energy(4, delta))
+def _build(delta, rhos, thetas, dims=(4, 6, 4, 2)):
+    """Codebook set and signature for one operator set."""
+    dims = SystemDims(*dims)
+    ops = tuple(ConstellationOperator(r, t) for r, t in zip(rhos, thetas))
+    sig = assign_layers_and_power(ops, dims)
+    return build_codebook_set(build_mother_constellation(dims.m_order, dims.n_nonzero, delta), sig), sig
+
+
+def _paper_product(mc, sig):
+    """X_j = sqrt(M/(N E)) V_j Delta_j A for every column, with dense V and Delta,
+    then the one global rescale to total power J*M."""
+    k, j = sig.entries.shape
+    n, m = mc.rows.shape
+    scale = np.sqrt(m / (n * dimension_energy(m, mc.delta)))
+    books = np.zeros((j, k, m), dtype=complex)
+    for c in range(j):
+        ones = np.nonzero(sig.entries[:, c])[0]
+        v = np.zeros((k, n))
+        v[ones, np.arange(n)] = 1.0  # the n-th unit row at the n-th one of the layer
+        delta = np.diag([sig.operators[sig.entries[r, c] - 1].value for r in ones])
+        books[c] = scale * v @ delta @ mc.rows
+    return books * np.sqrt(j * m / _trace(books))
+
+
+@pytest.mark.parametrize(
+    "dims,delta,rhos,thetas",
+    [
+        ((4, 6, 4, 2), 1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3)),
+        ((4, 6, 8, 2), 2.7, (0.2, 0.5, 0.9), (0.3, 1.9, 3.0)),
+        ((5, 10, 4, 2), 3.1, (0.1, 0.4, 0.4, 1.0), (2.0, 0.0, 1.0, 0.5)),
+        ((6, 20, 4, 3), 1.2, (0.5,) * 10, tuple(0.3 * i for i in range(10))),
+    ],
+    ids=["4x6", "4x6-M8", "5x10", "6x20-N3"],
+)
+def test_build_codebook_set_matches_paper_product(dims, delta, rhos, thetas):
+    cbs, sig = _build(delta, rhos, thetas, dims)
+    mc = build_mother_constellation(dims[2], dims[3], delta)
+    want = _paper_product(mc, sig)
+    assert np.all((cbs.codebooks == 0) == (want == 0))
+    np.testing.assert_allclose(cbs.codebooks, want, rtol=1e-14, atol=0)
 
 
 def test_build_codebook_unit_power_rows():
-    cb = _unrotated_codebook()
-    assert cb.shape == (4, 4)
-    assert _trace(cb) == pytest.approx(4.0, rel=1e-14)
-    assert np.allclose(cb[0].real, np.array([-2, -1, 1, 2]) / np.sqrt(5))
-    assert np.allclose(cb[2].real, np.array([-1, 2, -2, 1]) / np.sqrt(5))
-    assert np.allclose(cb[[1, 3]], 0.0)
+    # unit operators: every layer carries the delta = 2 rows / sqrt(5) at its two RNs
+    cbs, sig = _build(2.0, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    assert cbs.codebooks.shape == (6, 4, 4)
+    for c in range(6):
+        first, second = np.nonzero(sig.entries[:, c])[0]
+        cb = cbs.codebooks[c]
+        assert _trace(cb) == pytest.approx(4.0, rel=1e-14)
+        assert np.allclose(cb[first], np.array([-2, -1, 1, 2]) / np.sqrt(5), rtol=0, atol=1e-15)
+        assert np.allclose(cb[second], np.array([-1, 2, -2, 1]) / np.sqrt(5), rtol=0, atol=1e-15)
+        assert np.all(np.delete(cb, [first, second], axis=0) == 0)
 
 
 def test_build_codebook_rotation_preserves_trace():
-    mc = build_mother_constellation(4, 2, 2.0)
-    v = mapping_matrix_from_layer([1, 0, 1, 0], 2)
-    ops = (ConstellationOperator(1.0, 0.0), ConstellationOperator(1.0, np.pi / 2))
-    cb = build_codebook(mc, v, ops, dimension_energy(4, 2.0))
-    ref = _unrotated_codebook()
-    assert _trace(cb) == pytest.approx(4.0, rel=1e-14)
-    assert np.allclose(cb[2], 1j * ref[2])
+    thetas = (0.0, np.pi / 2, np.pi / 4)
+    ref, sig = _build(2.0, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    rotated, rot_sig = _build(2.0, (1.0, 1.0, 1.0), thetas)
+    assert np.array_equal(rot_sig.entries, sig.entries)
+    assert np.allclose(rotated.traces(), 4.0, rtol=1e-14)
+    for c in range(6):
+        for r in np.nonzero(sig.entries[:, c])[0]:
+            turn = np.exp(1j * thetas[sig.entries[r, c] - 1])
+            assert np.allclose(rotated.codebooks[c, r], turn * ref.codebooks[c, r], rtol=0, atol=1e-15)
 
 
 def test_build_codebook_power_scaling_is_quadratic():
-    mc = build_mother_constellation(4, 2, 2.0)
-    v = mapping_matrix_from_layer([1, 0, 1, 0], 2)
-    ops = (ConstellationOperator(0.5, 0.0), ConstellationOperator(0.5, 0.0))
-    cb = build_codebook(mc, v, ops, dimension_energy(4, 2.0))
-    assert _trace(cb) == pytest.approx(1.0, rel=1e-14)
+    # a layer's trace follows the sum of rho^2 over its operators, not of rho
+    cbs, sig = _build(2.0, (0.5, 1.0, 1.0), (0.0, 0.0, 0.0))
+    rho2 = sig.column_powers()
+    assert not np.allclose(rho2 / rho2.sum(), np.sqrt(rho2) / np.sqrt(rho2).sum())
+    assert cbs.traces() == pytest.approx(24.0 * rho2 / rho2.sum(), rel=1e-14)
 
 
 def test_build_codebook_dimension_mismatch():
-    mc = build_mother_constellation(4, 2, 2.0)
-    v = mapping_matrix_from_layer([1, 0, 1, 0], 2)
-    with pytest.raises(ValueError):
-        build_codebook(mc, v, (ConstellationOperator(1.0, 0.0),), dimension_energy(4, 2.0))
+    sig = assign_layers_and_power((ConstellationOperator(1.0, 0.0),) * 3, SystemDims(4, 6, 4, 2))
+    for rows in (1, 3):
+        with pytest.raises(ValueError, match="rows"):
+            build_codebook_set(build_mother_constellation(4, rows, 2.0), sig)
 
 
 def test_set_total_power_and_column_ordering(ref_cbs):
@@ -142,6 +162,20 @@ def test_export_import_round_trip(tmp_path, ref_cbs):
     assert loaded.dims == ref_cbs.dims
     assert loaded.metadata["delta"] == ref_cbs.metadata["delta"]
     assert loaded.metadata["operators"] == ref_cbs.metadata["operators"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_sets(tuple(SMALL_DIMS) + ((4, 6, 4, 2), (4, 6, 8, 2), (5, 10, 4, 2))))
+def test_export_import_export_is_byte_identical(tmp_path_factory, cbs):
+    work = tmp_path_factory.mktemp("round_trip")
+    first, second = work / "first.txt", work / "second.txt"
+    export_codebook_set(cbs, first)
+    loaded = import_codebook_set(first)
+    export_codebook_set(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.codebooks.tobytes() == cbs.codebooks.tobytes()
+    assert loaded.dims == cbs.dims
+    assert loaded.metadata == cbs.metadata
 
 
 def test_import_rejects_wrong_dims(tmp_path, ref_cbs):

@@ -44,7 +44,7 @@ def test_ml_tie_break_lowest_joint_index():
     dims = SystemDims(2, 1, 2, 1)
     books = np.zeros((1, 2, 2), dtype=complex)
     books[0] = [[1.0, -1.0], [1.0, -1.0]]
-    cbs = CodebookSet.from_codebooks(books, dims, normalize=False)
+    cbs = CodebookSet(codebooks=books, dims=dims)
     y, h = np.zeros((1, 2), dtype=complex), np.ones((1, 2), dtype=complex)
     first = MlDetector(cbs).detect_batch(y, h)
     second = MlDetector(cbs).detect_batch(y, h)

@@ -133,7 +133,9 @@ def test_validation_errors():
         expected_distance_ratio(7, 6)
     with pytest.raises(ValueError):
         sample_rician(4, -1.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        CellGeometry(radius_ratio_c1=0.0)
-    with pytest.raises(ValueError):
-        CellGeometry(pathloss_alpha=0.5)
+    for c1 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="c1"):
+            CellGeometry(radius_ratio_c1=c1)
+    for alpha in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="path-loss"):
+            CellGeometry(pathloss_alpha=alpha)

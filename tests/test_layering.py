@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -10,7 +10,6 @@ from scma_ntn import (
     SignatureMatrix,
     SystemDims,
     assign_layers_and_power,
-    enumerate_layer_patterns,
     validate_signature,
 )
 
@@ -64,31 +63,6 @@ def equivalent_up_to_relabeling(a, b, allow_row_perm=True):
     return False
 
 
-def test_enumerate_counts_and_membership():
-    cols = enumerate_layer_patterns(4, 2)
-    assert cols.shape == (6, 4)
-    as_tuples = {tuple(c) for c in cols}
-    assert (1, 1, 0, 0) in as_tuples and (0, 0, 1, 1) in as_tuples
-    assert enumerate_layer_patterns(5, 2).shape[0] == 10
-
-
-def test_enumerate_singleton_patterns():
-    assert np.array_equal(enumerate_layer_patterns(3, 1), np.eye(3, dtype=int))
-
-
-def test_enumerate_lexicographic_order():
-    cols = enumerate_layer_patterns(4, 2)
-    positions = [tuple(np.nonzero(c)[0]) for c in cols]
-    assert positions == sorted(positions)
-
-
-def test_enumerate_rejects_full_columns():
-    with pytest.raises(ValueError):
-        enumerate_layer_patterns(4, 4)
-    with pytest.raises(ValueError):
-        enumerate_layer_patterns(4, 5)
-
-
 def test_assignment_matches_published_4x6():
     sig = assign_layers_and_power(ops_ascending([0.5, 0.75, 1.0]), SystemDims(4, 6, 4, 2))
     # identical rows: only column permutation plus operator relabeling needed
@@ -125,7 +99,7 @@ def test_assignment_outputs_validate(k, j, n):
 
 def test_supports_are_distinct_patterns():
     sig = assign_layers_and_power(ops_ascending([0.5, 0.75, 1.0]), SystemDims(4, 6, 4, 2))
-    patterns = {tuple(c) for c in enumerate_layer_patterns(4, 2)}
+    patterns = {tuple(int(r in ones) for r in range(4)) for ones in combinations(range(4), 2)}
     support_cols = {tuple(sig.support[:, c]) for c in range(6)}
     assert support_cols <= patterns
     assert len(support_cols) == 6 == comb(4, 2)

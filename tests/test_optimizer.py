@@ -152,10 +152,17 @@ def test_config_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             GaConfig(workers=workers)
-    with pytest.raises(ValueError):
-        DesignSpace(dims=SystemDims(4, 6, 4, 2), delta_max=1.0)
-    with pytest.raises(ValueError):
-        DesignSpace(dims=SystemDims(4, 6, 4, 2), rho_min=0.0)
+    for kappa in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa"):
+            GaConfig(kappa=kappa)
+    for snr in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="SNR"):
+            GaConfig(design_snr_db=snr)
+    for truncation in (0, -2, 2.0, "3"):
+        with pytest.raises(ValueError, match="truncation"):
+            GaConfig(truncation=truncation)
+    GaConfig(kappa=0.0, truncation=None)
+    GaConfig(truncation=np.int64(1))
 
 
 def test_candidate_codebooks_normalized(space):

@@ -174,6 +174,13 @@ def test_sim_config_validation():
         SimConfig(threads=0)
     with pytest.raises(ValueError):
         SimConfig(iterations=-1)
+    for kappa in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa"):
+            SimConfig(kappa=kappa)
+    for grid in ((float("nan"),), (0.0, float("inf")), (float("-inf"), 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(snr_grid_db=grid)
+    SimConfig(kappa=0.0)
     for bad in (5.0, 1.5, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SimConfig(fixed_distance_ratios=(0.5,) * 5 + (bad,))
