@@ -12,6 +12,7 @@ from scma_ntn import (
     assign_layers_and_power,
     validate_signature,
 )
+from scma_ntn.layering import _patterns
 
 # Published signature matrices for the 150% and 200% overload systems.
 S_4x6 = np.array(
@@ -95,6 +96,15 @@ def test_assignment_outputs_validate(k, j, n):
     sig = assign_layers_and_power(ops_ascending(list(np.linspace(0.5, 1.0, d_f))), SystemDims(k, j, 4, n))
     report = validate_signature(sig)
     assert report.ok, report.messages
+
+
+def test_enumerate_counts_and_membership():
+    pats = _patterns(4, 2)
+    assert len(pats) == comb(4, 2) == 6
+    assert all(len(p) == 2 for p in pats)
+    assert frozenset({0, 1}) in pats and frozenset({2, 3}) in pats
+    assert len(set(pats)) == len(pats)
+    assert len(_patterns(5, 2)) == 10
 
 
 def test_supports_are_distinct_patterns():
