@@ -10,13 +10,21 @@ pairs, with the user's distance ratio replaced by its order-statistic mean
 (a quadrature mode that averages over the full ordered-distance density is
 available for comparison).
 
+The exact bound is a sum-product over the SCMA factor graph: each s_k
+depends only on the d_k users on RN k, so the sum over all error tuples
+contracts one MGF table per RN, with each user's values being "no error"
+or one of its M(M-1) ordered codeword pairs.  A truncated bound (at most
+E* < J users in error) enumerates the error supports instead.
+
 SNR convention used throughout (analysis and simulation share one axis):
 the codebook set carries total power J*M over M codeword uses and K RNs,
 so per-RN signal power is J/K and N0 = (J/K) * 10^(-snr_db/10).
 """
 
 import csv
+import string
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +46,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
+# Largest table, in elements, the exact bound may hold: an RN's MGF table or
+# an intermediate of its contraction path.
+_MAX_ELEMENTS = 1 << 24
 # Gauss-Legendre nodes of the quadrature distance mode.
 _QUAD_ORDER = 32
 
@@ -168,10 +179,11 @@ def _enumerate_user_bep(
     n0: float,
     max_users_in_error: int,
 ) -> np.ndarray:
-    """Union-bound numerators at each geometry gain, factorized over error supports.
+    """Truncated union-bound numerators at each geometry gain, factorized over error supports.
 
     Sums M^(J-|S|) * n(m_j, mhat_j) * PEP over every support S containing the
-    target and every per-user ordered difference pair, |S| <= E*.
+    target and every per-user ordered difference pair, |S| <= E*.  user_bep
+    uses it for E* < J; at E* = J it is the test oracle of the contraction.
     """
     j_users = cbs.dims.j_users
     m = cbs.dims.m_order
@@ -187,7 +199,7 @@ def _enumerate_user_bep(
             agg = np.zeros((1, active.size), dtype=complex)
             weights = np.ones(1)
             for l in users:
-                agg = (agg[:, None, :] + diffs[l][None, :, active]).reshape(-1, active.size)
+                agg = (agg[:, None, :] + diffs[l][None, :, active]).reshape(agg.shape[0] * n_pairs, active.size)
                 w_l = bit_weights if l == target else np.ones(n_pairs)
                 weights = (weights[:, None] * w_l[None, :]).reshape(-1)
             mult = float(m) ** (j_users - len(users))
@@ -200,6 +212,106 @@ def _enumerate_user_bep(
                     acc += float(weights[lo:hi] @ _pep_from_sk(sk, kappa))
                 totals[gi] += mult * acc
     return totals
+
+
+def _path_sizes(terms, path, dim: int) -> list:
+    """Elements each step of an einsum path over equal-sized axes holds.
+
+    A pairwise step holds its result; a step on more operands, which numpy
+    takes when no pairwise step fits its memory limit, loops over the
+    product of all its axes.
+    """
+    terms = [set(t) for t in terms]
+    sizes = []
+    for step in path[1:]:
+        taken = [terms.pop(i) for i in sorted(step, reverse=True)]
+        axes = set().union(*taken)
+        result = axes & set().union(*terms)
+        sizes.append(dim ** len(result if len(step) <= 2 else axes))
+        terms.append(result)
+    return sizes
+
+
+def _contraction_path(dims, rn_users: list, size: int):
+    """Subscripts and greedy einsum path contracting one table per busy RN.
+
+    Raises ValueError, before any table is allocated, when an RN table or a
+    step of the path would exceed _MAX_ELEMENTS elements.
+    """
+    placed = sorted({u for users in rn_users for u in users})
+    graph = f"{dims.k_resources}x{dims.j_users} graph (M = {dims.m_order}, d_f = {max(map(len, rn_users))})"
+    if len(placed) > len(string.ascii_letters):
+        raise ValueError(f"exact bound on the {graph}: {len(placed)} users on RNs, einsum labels at most 52")
+    terms = ["".join(string.ascii_letters[placed.index(u)] for u in users) for users in rn_users]
+    expr = ",".join(terms) + "->"
+    shapes = [np.broadcast_to(0.0, (size,) * len(t)) for t in terms]
+    # numpy's default limit is the largest input, which on 4x6 forbids every pairwise step.
+    path, _ = np.einsum_path(expr, *shapes, optimize=("greedy", _MAX_ELEMENTS))
+    largest = max([size ** len(t) for t in terms] + _path_sizes(terms, path, size))
+    if largest > _MAX_ELEMENTS:
+        raise ValueError(
+            f"exact bound on the {graph}: a table or contraction step of {largest:.3g} elements, "
+            f"above the limit of {_MAX_ELEMENTS}; use a truncated bound"
+        )
+    return expr, path
+
+
+def _contract_user_bep(
+    cbs: CodebookSet, target: int, gammas: np.ndarray, kappa: float, n0: float
+) -> np.ndarray:
+    """Exact union-bound numerators at each geometry gain, as a factor-graph contraction.
+
+    Each user takes one of P + 1 values: 0 is "no error" (weight M, 0 for
+    the target), 1 + p is ordered pair p (weight 1, the bit weight for the
+    target).  RN k holds MGF(|sum_u d_u[k]|^2 / (N0 gamma c)) over the values
+    of its users, for c = 4 and 3; the weighted sum of the tables' product
+    over all values is the enumeration at E* = J.  Each user's weights are
+    folded into the first RN it occupies; a user on no RN contributes their
+    sum, an idle RN contributes 1.
+    """
+    dims = cbs.dims
+    diffs, bit_weights = _difference_tables(cbs)
+    size = diffs.shape[1] + 1
+    weights = np.ones((dims.j_users, size))
+    weights[:, 0] = dims.m_order
+    weights[target] = np.concatenate([[0.0], bit_weights])
+    rns = [(k, users) for k, users in enumerate(cbs.collision_sets()) if users]
+    placed = {u for _, users in rns for u in users}
+    rest = float(np.prod([weights[u].sum() for u in range(dims.j_users) if u not in placed]))
+    if not rns:  # no RN carries a difference: every PEP is 1/12 + 1/4
+        return np.full(len(gammas), rest / 3.0)
+    expr, path = _contraction_path(dims, [users for _, users in rns], size)
+
+    # |sum d|^2 tables and folded weights, shared by every gain and both MGF terms.
+    step = np.concatenate([np.zeros((dims.j_users, 1, dims.k_resources)), diffs], axis=1)
+    abs2, folds, homed = [], [], set()
+    for k, users in rns:
+        abs2.append(np.abs(reduce(np.add.outer, [step[u, :, k] for u in users])) ** 2)
+        folds.append(reduce(np.multiply.outer, [np.ones(size) if u in homed else weights[u] for u in users]))
+        homed.update(users)
+
+    totals = np.empty(len(gammas))
+    for gi, gamma in enumerate(gammas):
+        m4, m3 = (
+            np.einsum(expr, *[rician_mgf(a / (n0 * gamma * c), kappa) * f for a, f in zip(abs2, folds)], optimize=path)
+            for c in (4.0, 3.0)
+        )
+        totals[gi] = rest * (m4 / 12.0 + m3 / 4.0)
+    return totals
+
+
+def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode: str, c2: float | None):
+    """Geometry gains the PEP is evaluated at, and their weights in the bound."""
+    if c2 is not None:
+        return np.array([_geometry_gain(geom, c2)]), np.array([1.0])
+    if distance_mode == "mean":
+        return np.array([_geometry_gain(geom, expected_distance_ratio(j_rank, j_users))]), np.array([1.0])
+    if distance_mode == "quadrature":
+        nodes, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+        x = 0.5 * (nodes + 1.0)
+        quad_w = 0.5 * w * ordered_distance_pdf(j_rank, j_users, x)
+        return np.array([_geometry_gain(geom, xi) for xi in x]), quad_w
+    raise ValueError(f"unknown distance_mode {distance_mode!r}")
 
 
 def user_bep(
@@ -215,9 +327,10 @@ def user_bep(
     """Upper bound on the BEP of the user at distance rank j (1-based).
 
     truncation caps how many users' codewords may differ in an error event
-    (E*); None means exact (E* = J).  distance_mode "mean" substitutes the
-    order-statistic mean distance ratio into the PEP, "quadrature" averages
-    the PEP over the ordered-distance density instead; c2 overrides both.
+    (E*); None means exact (E* = J), computed as a factor-graph contraction.
+    distance_mode "mean" substitutes the order-statistic mean distance ratio
+    into the PEP, "quadrature" averages the PEP over the ordered-distance
+    density instead; c2 overrides both.
     """
     j_users = cbs.dims.j_users
     if not 1 <= j_rank <= j_users:
@@ -225,23 +338,12 @@ def user_bep(
     e_star = j_users if truncation is None else int(truncation)
     if e_star < 1:
         raise ValueError("truncation must be >= 1")
-    e_star = min(e_star, j_users)
 
-    if c2 is not None:
-        gammas = np.array([_geometry_gain(geom, c2)])
-        quad_w = np.array([1.0])
-    elif distance_mode == "mean":
-        gammas = np.array([_geometry_gain(geom, expected_distance_ratio(j_rank, j_users))])
-        quad_w = np.array([1.0])
-    elif distance_mode == "quadrature":
-        nodes, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-        x = 0.5 * (nodes + 1.0)
-        quad_w = 0.5 * w * ordered_distance_pdf(j_rank, j_users, x)
-        gammas = np.array([_geometry_gain(geom, xi) for xi in x])
+    gammas, quad_w = _distance_gains(j_rank, j_users, geom, distance_mode, c2)
+    if e_star >= j_users:
+        totals = _contract_user_bep(cbs, j_rank - 1, gammas, kappa, n0)
     else:
-        raise ValueError(f"unknown distance_mode {distance_mode!r}")
-
-    totals = _enumerate_user_bep(cbs, j_rank - 1, gammas, kappa, n0, e_star)
+        totals = _enumerate_user_bep(cbs, j_rank - 1, gammas, kappa, n0, e_star)
     m = cbs.dims.m_order
     norm = float(m) ** j_users * np.log2(m)
     return float((quad_w @ totals) / norm)

@@ -9,10 +9,13 @@ echoing the merged configuration and seed, sufficient for replay.
 import argparse
 import configparser
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .analysis import set_bep, snr_db_to_n0, write_bep_csv
@@ -189,6 +192,12 @@ def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
             "seed": args.seed,
             "config": cfg,
             "outputs": [str(p) for p in outputs],
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "cpu_count": os.cpu_count(),
+            },
         },
     )
 
@@ -258,7 +267,10 @@ def _analyze_one(cbs, cfg, snr_grid, geom):
     rows = []
     for snr in snr_grid:
         n0 = snr_db_to_n0(snr, cbs.dims)
-        rows.append(set_bep(cbs, geom, kappa, n0, truncation=trunc).per_user)
+        try:
+            rows.append(set_bep(cbs, geom, kappa, n0, truncation=trunc).per_user)
+        except ValueError as exc:  # e.g. an exact bound too large for the graph
+            raise ConfigError(str(exc)) from exc
     return np.array(rows)
 
 

@@ -97,6 +97,10 @@ class GaConfig:
             raise ValueError("workers must be >= 1")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        for name in ("crossover_rate", "mutation_rate"):
+            rate = getattr(self, name)
+            if not (np.isfinite(rate) and 0.0 <= rate <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if not np.isfinite(self.design_snr_db):
             raise ValueError(f"design SNR must be finite, got {self.design_snr_db}")
         if self.truncation is not None and not (

@@ -26,6 +26,12 @@ def make_codebook_set(delta, rhos, thetas, dims=None):
     return build_codebook_set(mc, assign_layers_and_power(ops, dims))
 
 
+def make_oversized_set():
+    """A 6x20, N = 3 set (d_f = 10): its RN tables are far too large for the exact bound."""
+    d_f = 10
+    return make_codebook_set(2.0, np.linspace(0.1, 1.0, d_f), np.linspace(0.0, 3.0, d_f), SystemDims(6, 20, 4, 3))
+
+
 # Small regular factor graphs (K, J, M, N) whose exact union bound takes milliseconds.
 SMALL_DIMS = [(2, 1, 4, 2), (2, 2, 4, 1), (3, 3, 2, 2), (3, 3, 4, 2), (4, 6, 2, 2), (6, 4, 2, 3)]
 
@@ -58,6 +64,10 @@ def geom():
 
 @pytest.fixture(scope="session")
 def reduced_cbs():
+    return make_reduced_set()
+
+
+def make_reduced_set():
     """Irregular K=2, J=3, N=1, M=2 set: users 0,1 on RN 0, user 2 on RN 1."""
     dims = SystemDims(2, 3, 2, 1)
     base = np.array([-1.0, 1.0])

@@ -21,9 +21,46 @@ from scma_ntn import (
     snr_db_to_n0,
     user_bep,
 )
-from scma_ntn.analysis import effective_snr_terms, write_bep_csv
+from scma_ntn.analysis import (
+    _contract_user_bep,
+    _distance_gains,
+    _enumerate_user_bep,
+    effective_snr_terms,
+    write_bep_csv,
+)
 
-from conftest import small_sets
+from conftest import make_oversized_set, make_reduced_set, small_sets
+
+# Irregular graphs as K and the RNs of each user: the reduced set's layout,
+# one with an idle RN (RN 2), and one with a user whose codebook is all zero.
+IRREGULAR_LAYOUTS = [
+    (2, ([0], [0], [1])),
+    (3, ([0], [0, 1], [1])),
+    (2, ([0, 1], [1], [])),
+]
+
+
+@st.composite
+def irregular_sets(draw, k, layout):
+    """A codebook set on an irregular layout with random nonzero codewords."""
+    m = draw(st.sampled_from((2, 4)))
+    books = np.zeros((len(layout), k, m), dtype=complex)
+    for u, rns in enumerate(layout):
+        for r in rns:
+            mags = draw(st.lists(st.floats(0.1, 2.0), min_size=m, max_size=m))
+            phases = draw(st.lists(st.floats(0.0, 6.28), min_size=m, max_size=m))
+            books[u, r] = np.array(mags) * np.exp(1j * np.array(phases))
+    return CodebookSet.from_codebooks(books, SystemDims(k, len(layout), m, 1))
+
+
+def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode):
+    j_users = cbs.dims.j_users
+    n0 = snr_db_to_n0(snr_db, cbs.dims)
+    for target in range(j_users):
+        gammas, _ = _distance_gains(target + 1, j_users, CellGeometry(), mode, None)
+        got = _contract_user_bep(cbs, target, gammas, kappa, n0)
+        want = _enumerate_user_bep(cbs, target, gammas, kappa, n0, max_users_in_error=j_users)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (target, got, want)
 
 
 
@@ -199,6 +236,44 @@ def test_set_bep_non_increasing_in_snr(cbs, kappa, first_snr, steps):
     for truncation in (1, 2, None):
         per_user = np.array([set_bep(cbs, CellGeometry(), kappa, n0, truncation=truncation).per_user for n0 in n0s])
         assert np.all(np.diff(per_user, axis=0) <= 0), (truncation, per_user)
+
+
+BOUND_SETTINGS = (st.floats(0.0, 20.0), st.floats(-5.0, 25.0), st.sampled_from(("mean", "quadrature")))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.one_of(small_sets(), st.just(make_reduced_set())), *BOUND_SETTINGS)
+def test_contraction_matches_enumeration(cbs, kappa, snr_db, mode):
+    assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode)
+
+
+@pytest.mark.parametrize("k, layout", IRREGULAR_LAYOUTS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.data(), *BOUND_SETTINGS)
+def test_contraction_matches_enumeration_on_irregular_graphs(k, layout, data, kappa, snr_db, mode):
+    assert_contraction_matches_enumeration(data.draw(irregular_sets(k, layout)), kappa, snr_db, mode)
+
+
+def test_truncated_bounds_climb_to_the_exact_bound(ref_cbs, geom):
+    n0 = snr_db_to_n0(12.0, ref_cbs.dims)
+    j_users = ref_cbs.dims.j_users
+    truncated = np.array([set_bep(ref_cbs, geom, 10.0, n0, truncation=e).per_user for e in range(1, j_users)])
+    exact = set_bep(ref_cbs, geom, 10.0, n0, truncation=None).per_user
+    assert np.all(np.diff(truncated, axis=0) >= 0)
+    assert np.all(truncated[-1] <= exact)
+    at_j = set_bep(ref_cbs, geom, 10.0, n0, truncation=j_users).per_user
+    assert np.all(np.abs(at_j - exact) <= 1e-12 * exact)
+
+
+def test_exact_bound_rejects_oversized_graph(ref_cbs, geom, monkeypatch):
+    big = make_oversized_set()
+    with pytest.raises(ValueError, match=r"6x20 graph \(M = 4, d_f = 10\).* elements"):
+        user_bep(1, big, geom, 10.0, 0.1)
+    assert user_bep(1, big, geom, 10.0, 0.1, truncation=1) > 0
+    # RN tables of 13^3 fit, but every pairwise step of the 4x6 path would hold 13^4.
+    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", 13**3)
+    with pytest.raises(ValueError, match=r"4x6 graph"):
+        user_bep(1, ref_cbs, geom, 10.0, 0.1)
 
 
 def test_user_bep_truncation_gap_documented(ref_cbs, geom):

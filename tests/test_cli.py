@@ -7,7 +7,10 @@ import pytest
 from scma_ntn import export_codebook_set
 from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, main
 
-from conftest import make_codebook_set
+from conftest import make_codebook_set, make_oversized_set
+
+# Stands for a file holding conftest.make_oversized_set(), too large for the exact bound.
+BIG = "<6x20 codebook>"
 
 # Each bad value must end in exit 3 with a one-line message; None is no config file.
 BAD_VALUES = {
@@ -27,6 +30,8 @@ BAD_VALUES = {
     "analyze-nan-snr": (["analyze", "--snr-grid", "nan,3"], None),
     "analyze-nan-c1": (["analyze", "--c1", "nan"], None),
     "compare-target-ber-0": (["compare", "--target-ber", "0"], None),
+    "analyze-exact-6x20": (["analyze", "--exact-bep", "--codebook", BIG], None),
+    "compare-exact-6x20": (["compare", "--exact-bep", "--codebook", BIG, "--codebook", BIG], None),
 }
 
 
@@ -34,6 +39,13 @@ BAD_VALUES = {
 def codebook_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cb") / "ref.txt"
     export_codebook_set(make_codebook_set(1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3)), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def big_codebook_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cb_big") / "big.txt"
+    export_codebook_set(make_oversized_set(), path)
     return str(path)
 
 
@@ -73,6 +85,7 @@ def test_design_is_reproducible(tmp_path, capsys):
     assert cb_a == cb_b
     manifest = json.loads((out_a / "design_manifest.json").read_text())
     assert manifest["command"] == "design" and manifest["seed"] == 11
+    assert set(manifest["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
     assert (out_a / "design_history.csv").exists()
 
 
@@ -159,10 +172,10 @@ def test_infeasible_dims_exit_code(capsys):
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
-def test_bad_value_exits_3_with_one_line(case, tmp_path, codebook_file, capsys):
+def test_bad_value_exits_3_with_one_line(case, tmp_path, codebook_file, big_codebook_file, capsys):
     argv, ini = BAD_VALUES[case]
-    argv = argv + ["--out", str(tmp_path / "out")]
-    if argv[0] in ("analyze", "simulate", "compare"):
+    argv = [big_codebook_file if a == BIG else a for a in argv] + ["--out", str(tmp_path / "out")]
+    if argv[0] in ("analyze", "simulate", "compare") and "--codebook" not in argv:
         argv += ["--codebook", codebook_file] * (2 if argv[0] == "compare" else 1)
     if ini is not None:
         cfg = tmp_path / "bad.ini"

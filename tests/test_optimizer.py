@@ -161,6 +161,12 @@ def test_config_validation():
     for truncation in (0, -2, 2.0, "3"):
         with pytest.raises(ValueError, match="truncation"):
             GaConfig(truncation=truncation)
+    for name in ("crossover_rate", "mutation_rate"):
+        for rate in (float("nan"), float("inf"), -0.1, 1.5):
+            with pytest.raises(ValueError, match=name):
+                GaConfig(**{name: rate})
+        for rate in (0.0, 1.0):
+            GaConfig(**{name: rate})
     GaConfig(kappa=0.0, truncation=None)
     GaConfig(truncation=np.int64(1))
 
