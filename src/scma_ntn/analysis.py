@@ -12,9 +12,14 @@ available for comparison).
 
 The exact bound is a sum-product over the SCMA factor graph: each s_k
 depends only on the d_k users on RN k, so the sum over all error tuples
-contracts one MGF table per RN, with each user's values being "no error"
-or one of its M(M-1) ordered codeword pairs.  A truncated bound (at most
-E* < J users in error) enumerates the error supports instead.
+contracts one MGF table per RN.  A user's ordered codeword pairs enter only
+through their difference vectors, so pairs with equal vectors are lumped
+into one class (variable merging, Kschischang, Frey & Loeliger 2001) and
+each user's values are "no error" or one of its classes: 8 instead of the
+M(M-1) = 12 pairs on the 4x6 reference design.  Every table carries a
+leading batch axis over (target user, geometry gain, MGF term), so one
+contraction serves every user of a set_bep call.  A truncated bound (at
+most E* < J users in error) enumerates the error supports instead.
 
 SNR convention used throughout (analysis and simulation share one axis):
 the codebook set carries total power J*M over M codeword uses and K RNs,
@@ -24,7 +29,7 @@ so per-RN signal power is J/K and N0 = (J/K) * 10^(-snr_db/10).
 import csv
 import string
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -214,90 +219,153 @@ def _enumerate_user_bep(
     return totals
 
 
-def _path_sizes(terms, path, dim: int) -> list:
-    """Elements each step of an einsum path over equal-sized axes holds.
+@lru_cache(maxsize=64)
+def _contraction_plan(rn_users: tuple, domain_sizes: tuple, limit: int):
+    """Greedy pairwise plan contracting one table per busy RN over a leading batch axis.
 
-    A pairwise step holds its result; a step on more operands, which numpy
-    takes when no pairwise step fits its memory limit, loops over the
-    product of all its axes.
-    """
-    terms = [set(t) for t in terms]
-    sizes = []
-    for step in path[1:]:
-        taken = [terms.pop(i) for i in sorted(step, reverse=True)]
-        axes = set().union(*taken)
-        result = axes & set().union(*terms)
-        sizes.append(dim ** len(result if len(step) <= 2 else axes))
-        terms.append(result)
-    return sizes
-
-
-def _contraction_path(dims, rn_users: list, size: int):
-    """Subscripts and greedy einsum path contracting one table per busy RN.
-
-    Raises ValueError, before any table is allocated, when an RN table or a
-    step of the path would exceed _MAX_ELEMENTS elements.
+    rn_users holds each busy RN's users, domain_sizes each user's number of
+    values.  Returns the steps, as (operand positions to take, their axis
+    labels, the result's labels), and the largest table or step per batch
+    entry.  The path is searched once per graph, domain and limit; the steps
+    then run as batched matrix products, with no einsum path parsed again.
     """
     placed = sorted({u for users in rn_users for u in users})
-    graph = f"{dims.k_resources}x{dims.j_users} graph (M = {dims.m_order}, d_f = {max(map(len, rn_users))})"
+    labels = {u: string.ascii_letters[i] for i, u in enumerate(placed)}
+    sizes = {labels[u]: domain_sizes[u] for u in placed}
+    terms = ["".join(labels[u] for u in users) for users in rn_users]
+    shapes = [np.broadcast_to(0.0, [sizes[a] for a in t]) for t in terms]
+    # numpy's default limit is the largest input, which on 4x6 forbids every pairwise step.
+    path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize=("greedy", limit))
+    largest = max(int(np.prod([sizes[a] for a in t])) for t in terms)
+    steps, live = [], list(terms)
+    for step in path[1:]:
+        positions = tuple(sorted(step, reverse=True))
+        taken = tuple(live.pop(i) for i in positions)
+        axes = set().union(*taken)
+        result = "".join(sorted(axes & set().union(*live)))
+        # A pairwise step holds its result; a step on more operands, which numpy
+        # takes when no pairwise step fits the limit, loops over all its axes.
+        largest = max(largest, int(np.prod([sizes[a] for a in (result if len(taken) <= 2 else axes)])))
+        steps.append((positions, taken, result))
+        live.append(result)
+    return steps, largest
+
+
+def _sum_to(t: np.ndarray, labels: str, order: list) -> np.ndarray:
+    """t[Z, *labels] summed over the labels not in order, then transposed to [Z, *order]."""
+    gone = tuple(1 + i for i, a in enumerate(labels) if a not in order)
+    if gone:
+        t = t.sum(axis=gone)
+    kept = [a for a in labels if a in order]
+    return t.transpose([0] + [1 + kept.index(a) for a in order])
+
+
+def _contract_pair(x: np.ndarray, xl: str, y: np.ndarray, yl: str, result: str) -> np.ndarray:
+    """sum x[Z, *xl] y[Z, *yl] down to [Z, *result] as one batched matrix product."""
+    batch = [a for a in result if a in xl and a in yl]
+    shared = [a for a in xl if a in yl and a not in result]
+    x_free = [a for a in result if a in xl and a not in yl]
+    y_free = [a for a in result if a in yl and a not in xl]
+    x = _sum_to(x, xl, batch + x_free + shared)
+    y = _sum_to(y, yl, batch + shared + y_free)
+    lead = x.shape[: 1 + len(batch)]
+    x_shape, y_shape = x.shape[len(lead) :][: len(x_free)], y.shape[len(lead) + len(shared) :]
+    n_shared = int(np.prod(x.shape[len(lead) + len(x_free) :]))
+    prod = x.reshape(lead + (-1, n_shared)) @ y.reshape(lead + (n_shared, -1))
+    out = batch + x_free + y_free
+    return prod.reshape(lead + x_shape + y_shape).transpose([0] + [1 + out.index(a) for a in result])
+
+
+def _lumped_pairs(diffs_u: np.ndarray, bit_weights: np.ndarray):
+    """One user's ordered pairs lumped into classes of equal difference vectors.
+
+    Returns the class vectors (C, K), each class's pair count and its summed
+    bit weights; pairs in one class give every error event the same PEP.
+    """
+    classes = {}  # + 0.0 turns -0.0 into 0.0, so equal vectors have equal bytes
+    inverse = np.array([classes.setdefault(row.tobytes(), len(classes)) for row in diffs_u + 0.0])
+    vectors = np.empty((len(classes), diffs_u.shape[1]), dtype=diffs_u.dtype)
+    vectors[inverse] = diffs_u
+    return vectors, np.bincount(inverse).astype(float), np.bincount(inverse, weights=bit_weights)
+
+
+def _exact_user_bep(
+    cbs: CodebookSet, targets, gammas: np.ndarray, kappa: float, n0: float
+) -> np.ndarray:
+    """Exact union-bound numerators of several targets, as one factor-graph contraction.
+
+    targets are 0-based users and gammas (T, G) their geometry gains; returns
+    (T, G).  A user takes one of 1 + C values: 0 is "no error" (weight M, 0
+    for the target), 1 + c is its lumped pair class c (weight the class's
+    pair count, its summed bit weights for the target).  RN k holds
+    MGF(|sum_u d_u[k]|^2 / (N0 gamma c)) over its users' values, with a
+    leading batch axis Z = (target, gain, c in {4, 3}); the weighted sum of
+    the tables' product over all values is the enumeration at E* = J.  Each
+    user's weights are folded into the first RN it occupies; a user on no
+    RN contributes their sum, an idle RN contributes 1.  Z runs in chunks
+    that keep every table and step within _MAX_ELEMENTS elements.
+    """
+    dims = cbs.dims
+    m = dims.m_order
+    diffs, bit_weights = _difference_tables(cbs)
+    collision = cbs.collision_sets()
+    rns = [users for users in collision if users]
+    placed = sorted({u for users in rns for u in users})
+    rest = np.array(
+        [np.prod([bit_weights.sum() if u == t else float(m * m) for u in range(dims.j_users) if u not in placed])
+         for t in targets]
+    )
+    if not rns:  # no RN carries a difference: every PEP is 1/12 + 1/4
+        return np.repeat(rest[:, None] / 3.0, gammas.shape[1], axis=1)
+
+    graph = f"{dims.k_resources}x{dims.j_users} graph (M = {m}, d_f = {max(map(len, rns))})"
     if len(placed) > len(string.ascii_letters):
         raise ValueError(f"exact bound on the {graph}: {len(placed)} users on RNs, einsum labels at most 52")
-    terms = ["".join(string.ascii_letters[placed.index(u)] for u in users) for users in rn_users]
-    expr = ",".join(terms) + "->"
-    shapes = [np.broadcast_to(0.0, (size,) * len(t)) for t in terms]
-    # numpy's default limit is the largest input, which on 4x6 forbids every pairwise step.
-    path, _ = np.einsum_path(expr, *shapes, optimize=("greedy", _MAX_ELEMENTS))
-    largest = max([size ** len(t) for t in terms] + _path_sizes(terms, path, size))
+    values, weights, bits = {}, {}, {}
+    for u in placed:
+        vecs, counts, bit_sums = _lumped_pairs(diffs[u], bit_weights)
+        values[u] = np.concatenate([np.zeros((1, dims.k_resources)), vecs])
+        weights[u] = np.concatenate([[float(m)], counts])
+        bits[u] = np.concatenate([[0.0], bit_sums])
+    domain = tuple(len(values[u]) if u in values else 0 for u in range(dims.j_users))
+    steps, largest = _contraction_plan(tuple(map(tuple, rns)), domain, _MAX_ELEMENTS)
     if largest > _MAX_ELEMENTS:
         raise ValueError(
             f"exact bound on the {graph}: a table or contraction step of {largest:.3g} elements, "
             f"above the limit of {_MAX_ELEMENTS}; use a truncated bound"
         )
-    return expr, path
 
-
-def _contract_user_bep(
-    cbs: CodebookSet, target: int, gammas: np.ndarray, kappa: float, n0: float
-) -> np.ndarray:
-    """Exact union-bound numerators at each geometry gain, as a factor-graph contraction.
-
-    Each user takes one of P + 1 values: 0 is "no error" (weight M, 0 for
-    the target), 1 + p is ordered pair p (weight 1, the bit weight for the
-    target).  RN k holds MGF(|sum_u d_u[k]|^2 / (N0 gamma c)) over the values
-    of its users, for c = 4 and 3; the weighted sum of the tables' product
-    over all values is the enumeration at E* = J.  Each user's weights are
-    folded into the first RN it occupies; a user on no RN contributes their
-    sum, an idle RN contributes 1.
-    """
-    dims = cbs.dims
-    diffs, bit_weights = _difference_tables(cbs)
-    size = diffs.shape[1] + 1
-    weights = np.ones((dims.j_users, size))
-    weights[:, 0] = dims.m_order
-    weights[target] = np.concatenate([[0.0], bit_weights])
-    rns = [(k, users) for k, users in enumerate(cbs.collision_sets()) if users]
-    placed = {u for _, users in rns for u in users}
-    rest = float(np.prod([weights[u].sum() for u in range(dims.j_users) if u not in placed]))
-    if not rns:  # no RN carries a difference: every PEP is 1/12 + 1/4
-        return np.full(len(gammas), rest / 3.0)
-    expr, path = _contraction_path(dims, [users for _, users in rns], size)
-
-    # |sum d|^2 tables and folded weights, shared by every gain and both MGF terms.
-    step = np.concatenate([np.zeros((dims.j_users, 1, dims.k_resources)), diffs], axis=1)
+    # |sum d|^2 tables and per-target folded weights, shared by every gain and both MGF terms.
     abs2, folds, homed = [], [], set()
-    for k, users in rns:
-        abs2.append(np.abs(reduce(np.add.outer, [step[u, :, k] for u in users])) ** 2)
-        folds.append(reduce(np.multiply.outer, [np.ones(size) if u in homed else weights[u] for u in users]))
+    for k, users in enumerate(collision):
+        if not users:
+            continue
+        abs2.append(np.abs(reduce(np.add.outer, [values[u][:, k] for u in users])) ** 2)
+        home = [u for u in users if u not in homed]
+        factors = [[(bits if u == t else weights)[u] if u in home else np.ones(domain[u]) for u in users]
+                   for t in targets]
+        folds.append(np.stack([reduce(np.multiply.outer, f) for f in factors]))
         homed.update(users)
 
-    totals = np.empty(len(gammas))
-    for gi, gamma in enumerate(gammas):
-        m4, m3 = (
-            np.einsum(expr, *[rician_mgf(a / (n0 * gamma * c), kappa) * f for a, f in zip(abs2, folds)], optimize=path)
-            for c in (4.0, 3.0)
-        )
-        totals[gi] = rest * (m4 / 12.0 + m3 / 4.0)
-    return totals
+    scale = (n0 * gammas[:, :, None] * np.array([4.0, 3.0])).reshape(-1)
+    target_of = np.repeat(np.arange(len(targets)), scale.size // len(targets))
+    chunk = _MAX_ELEMENTS // largest
+    sums = np.empty(scale.size)
+    for lo in range(0, scale.size, chunk):
+        z = slice(lo, lo + chunk)
+        ops = [
+            rician_mgf(a / scale[z].reshape((-1,) + (1,) * a.ndim), kappa) * f[target_of[z]]
+            for a, f in zip(abs2, folds)
+        ]
+        for positions, labels, result in steps:
+            taken = [ops.pop(i) for i in positions]
+            if len(taken) == 2:
+                ops.append(_contract_pair(taken[0], labels[0], taken[1], labels[1], result))
+            else:
+                ops.append(np.einsum(",".join("..." + t for t in labels) + "->..." + result, *taken))
+        sums[z] = ops[0]
+    m4, m3 = sums.reshape(gammas.shape + (2,)).transpose(2, 0, 1)
+    return rest[:, None] * (m4 / 12.0 + m3 / 4.0)
 
 
 def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode: str, c2: float | None):
@@ -312,6 +380,25 @@ def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode
         quad_w = 0.5 * w * ordered_distance_pdf(j_rank, j_users, x)
         return np.array([_geometry_gain(geom, xi) for xi in x]), quad_w
     raise ValueError(f"unknown distance_mode {distance_mode!r}")
+
+
+def _user_beps(
+    ranks, cbs: CodebookSet, geom: CellGeometry, kappa: float, n0: float, truncation, distance_mode, c2
+) -> np.ndarray:
+    """BEP bounds of the users at the given distance ranks; the exact bound takes them in one contraction."""
+    j_users = cbs.dims.j_users
+    e_star = j_users if truncation is None else int(truncation)
+    if e_star < 1:
+        raise ValueError("truncation must be >= 1")
+    gains = [_distance_gains(j_rank, j_users, geom, distance_mode, c2) for j_rank in ranks]
+    gammas = np.array([g for g, _ in gains])
+    if e_star >= j_users:
+        totals = _exact_user_bep(cbs, [j_rank - 1 for j_rank in ranks], gammas, kappa, n0)
+    else:
+        totals = [_enumerate_user_bep(cbs, j_rank - 1, g, kappa, n0, e_star) for j_rank, g in zip(ranks, gammas)]
+    m = cbs.dims.m_order
+    norm = float(m) ** j_users * np.log2(m)
+    return np.array([float((w @ t) / norm) for (_, w), t in zip(gains, totals)])
 
 
 def user_bep(
@@ -335,18 +422,7 @@ def user_bep(
     j_users = cbs.dims.j_users
     if not 1 <= j_rank <= j_users:
         raise ValueError(f"j_rank must be in 1..{j_users}")
-    e_star = j_users if truncation is None else int(truncation)
-    if e_star < 1:
-        raise ValueError("truncation must be >= 1")
-
-    gammas, quad_w = _distance_gains(j_rank, j_users, geom, distance_mode, c2)
-    if e_star >= j_users:
-        totals = _contract_user_bep(cbs, j_rank - 1, gammas, kappa, n0)
-    else:
-        totals = _enumerate_user_bep(cbs, j_rank - 1, gammas, kappa, n0, e_star)
-    m = cbs.dims.m_order
-    norm = float(m) ** j_users * np.log2(m)
-    return float((quad_w @ totals) / norm)
+    return float(_user_beps([j_rank], cbs, geom, kappa, n0, truncation, distance_mode, c2)[0])
 
 
 def set_bep(
@@ -357,14 +433,13 @@ def set_bep(
     truncation: int | None = None,
     distance_mode: str = "mean",
 ) -> BepSummary:
-    """Average and worst BEP bounds over all users, plus the per-user vector."""
-    per_user = np.array(
-        [
-            user_bep(j, cbs, geom, kappa, n0, truncation=truncation, distance_mode=distance_mode)
-            for j in range(1, cbs.dims.j_users + 1)
-        ]
-    )
-    return BepSummary(per_user=per_user)
+    """Average and worst BEP bounds over all users, plus the per-user vector.
+
+    Takes the same truncation and distance_mode as user_bep; the exact bound
+    serves every user from one contraction.
+    """
+    ranks = range(1, cbs.dims.j_users + 1)
+    return BepSummary(per_user=_user_beps(ranks, cbs, geom, kappa, n0, truncation, distance_mode, None))
 
 
 def write_bep_csv(path, snr_db_grid, per_user_matrix) -> None:

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -22,9 +23,11 @@ from scma_ntn import (
     user_bep,
 )
 from scma_ntn.analysis import (
-    _contract_user_bep,
+    _difference_tables,
     _distance_gains,
     _enumerate_user_bep,
+    _exact_user_bep,
+    _lumped_pairs,
     effective_snr_terms,
     write_bep_csv,
 )
@@ -32,7 +35,7 @@ from scma_ntn.analysis import (
 from conftest import make_oversized_set, make_reduced_set, small_sets
 
 # Irregular graphs as K and the RNs of each user: the reduced set's layout,
-# one with an idle RN (RN 2), and one with a user whose codebook is all zero.
+# one with an idle RN (RN 2), and one with a user on no RN (an all-zero codebook).
 IRREGULAR_LAYOUTS = [
     (2, ([0], [0], [1])),
     (3, ([0], [0, 1], [1])),
@@ -53,15 +56,25 @@ def irregular_sets(draw, k, layout):
     return CodebookSet.from_codebooks(books, SystemDims(k, len(layout), m, 1))
 
 
-def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode):
+def gains_of(cbs, mode):
+    j_users = cbs.dims.j_users
+    return np.array([_distance_gains(t + 1, j_users, CellGeometry(), mode, None)[0] for t in range(j_users)])
+
+
+def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode=None, gammas=None):
+    """Every user's exact numerators from one contraction equal the enumeration's at E* = J."""
     j_users = cbs.dims.j_users
     n0 = snr_db_to_n0(snr_db, cbs.dims)
-    for target in range(j_users):
-        gammas, _ = _distance_gains(target + 1, j_users, CellGeometry(), mode, None)
-        got = _contract_user_bep(cbs, target, gammas, kappa, n0)
-        want = _enumerate_user_bep(cbs, target, gammas, kappa, n0, max_users_in_error=j_users)
-        assert np.all(np.abs(got - want) <= 1e-12 * want), (target, got, want)
+    gammas = gains_of(cbs, mode) if gammas is None else gammas
+    got = _exact_user_bep(cbs, list(range(j_users)), gammas, kappa, n0)
+    for t in range(j_users):
+        want = _enumerate_user_bep(cbs, t, gammas[t], kappa, n0, max_users_in_error=j_users)
+        assert np.all(np.abs(got[t] - want) <= 1e-12 * want), (t, got[t], want)
 
+
+def class_counts(cbs):
+    diffs, bit_weights = _difference_tables(cbs)
+    return [len(_lumped_pairs(d, bit_weights)[0]) for d in diffs]
 
 
 def q_true(x):
@@ -254,6 +267,60 @@ def test_contraction_matches_enumeration_on_irregular_graphs(k, layout, data, ka
     assert_contraction_matches_enumeration(data.draw(irregular_sets(k, layout)), kappa, snr_db, mode)
 
 
+def test_contraction_lumps_the_reference_set(ref_cbs):
+    # Every user's 12 ordered pairs fall into 8 classes of equal difference
+    # vectors.  The enumeration takes about a second per user and gain, so
+    # the gains are the mean mode's and the first and last quadrature nodes.
+    assert class_counts(ref_cbs) == [8] * 6
+    quadrature = gains_of(ref_cbs, "quadrature")
+    gammas = np.column_stack([gains_of(ref_cbs, "mean"), quadrature[:, 0], quadrature[:, -1]])
+    assert_contraction_matches_enumeration(ref_cbs, 10.0, 12.0, gammas=gammas)
+
+
+@pytest.mark.parametrize("mode", ["mean", "quadrature"])
+def test_contraction_without_merged_classes(mode):
+    rng = np.random.default_rng(3)
+    books = np.zeros((3, 2, 4), dtype=complex)
+    for u, rns in enumerate(([0], [0, 1], [1])):
+        books[u, rns] = rng.normal(size=(len(rns), 4)) + 1j * rng.normal(size=(len(rns), 4))
+    cbs = CodebookSet.from_codebooks(books, SystemDims(2, 3, 4, 1))
+    assert class_counts(cbs) == [12] * 3
+    assert_contraction_matches_enumeration(cbs, 4.0, 6.0, mode)
+
+
+@pytest.mark.parametrize("mode", ["mean", "quadrature"])
+def test_contraction_with_idle_rn_absent_user_and_constant_user(mode):
+    # RN 2 is idle, user 2 has an all-zero codebook and so sits on no RN, and
+    # user 3's codewords are all equal, so its pairs lump into one zero class.
+    rng = np.random.default_rng(8)
+    books = np.zeros((4, 3, 4), dtype=complex)
+    books[0, 0] = rng.normal(size=4) + 1j * rng.normal(size=4)
+    books[1, [0, 1]] = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    books[3, 1] = 0.7 - 0.2j
+    cbs = CodebookSet.from_codebooks(books, SystemDims(3, 4, 4, 1))
+    assert cbs.collision_sets() == [[0, 1], [1, 3], []]
+    assert class_counts(cbs)[3] == 1
+    assert_contraction_matches_enumeration(cbs, 10.0, 9.0, mode)
+
+
+@pytest.mark.parametrize("mode", ["mean", "quadrature"])
+def test_set_bep_equals_user_bep_per_user(ref_cbs, geom, mode):
+    n0 = snr_db_to_n0(14.0, ref_cbs.dims)
+    per_user = set_bep(ref_cbs, geom, 10.0, n0, distance_mode=mode).per_user
+    assert per_user.tolist() == [user_bep(j + 1, ref_cbs, geom, 10.0, n0, distance_mode=mode) for j in range(6)]
+
+
+def test_contraction_in_batch_chunks_equals_one_chunk(ref_cbs, monkeypatch):
+    # Quadrature on 4x6 batches Z = 6 targets x 32 gains x 2 MGF terms = 384
+    # entries; the largest step holds 9^4 elements per entry, so this limit
+    # splits Z into chunks of 100, 100, 100 and 84.
+    gammas = gains_of(ref_cbs, "quadrature")
+    n0 = snr_db_to_n0(12.0, ref_cbs.dims)
+    whole = _exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0)
+    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", 100 * 9**4)
+    assert np.array_equal(_exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0), whole)
+
+
 def test_truncated_bounds_climb_to_the_exact_bound(ref_cbs, geom):
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
     j_users = ref_cbs.dims.j_users
@@ -270,9 +337,13 @@ def test_exact_bound_rejects_oversized_graph(ref_cbs, geom, monkeypatch):
     with pytest.raises(ValueError, match=r"6x20 graph \(M = 4, d_f = 10\).* elements"):
         user_bep(1, big, geom, 10.0, 0.1)
     assert user_bep(1, big, geom, 10.0, 0.1, truncation=1) > 0
-    # RN tables of 13^3 fit, but every pairwise step of the 4x6 path would hold 13^4.
-    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", 13**3)
-    with pytest.raises(ValueError, match=r"4x6 graph"):
+    # Each user takes "no error" or one of its pair classes.  At a limit of one
+    # RN table (d_f = 3 users), a batch chunk of one entry holds every table,
+    # but a pairwise step would hold four users' values, so the greedy path
+    # contracts all four tables in one step over all six users' values.
+    size = 1 + max(class_counts(ref_cbs))
+    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", size**3)
+    with pytest.raises(ValueError, match=r"4x6 graph.* step of " + re.escape(f"{size**6:.3g} elements")):
         user_bep(1, ref_cbs, geom, 10.0, 0.1)
 
 
