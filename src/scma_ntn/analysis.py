@@ -248,7 +248,7 @@ def _contraction_plan(rn_users: tuple, domain_sizes: tuple, limit: int):
         largest = max(largest, int(np.prod([sizes[a] for a in (result if len(taken) <= 2 else axes)])))
         steps.append((positions, taken, result))
         live.append(result)
-    return steps, largest
+    return tuple(steps), largest
 
 
 def _sum_to(t: np.ndarray, labels: str, order: list) -> np.ndarray:
