@@ -260,20 +260,25 @@ def _sum_to(t: np.ndarray, labels: str, order: list) -> np.ndarray:
     return t.transpose([0] + [1 + kept.index(a) for a in order])
 
 
-def _contract_pair(x: np.ndarray, xl: str, y: np.ndarray, yl: str, result: str) -> np.ndarray:
-    """sum x[Z, *xl] y[Z, *yl] down to [Z, *result] as one batched matrix product."""
+def _contract_pair(operands: list, xl: str, yl: str, result: str) -> np.ndarray:
+    """sum x[Z, *xl] y[Z, *yl] down to [Z, *result] as one batched matrix product.
+
+    Takes x and y from operands, which it empties, so that each input is
+    freed once its reordered copy exists.
+    """
     batch = [a for a in result if a in xl and a in yl]
     shared = [a for a in xl if a in yl and a not in result]
     x_free = [a for a in result if a in xl and a not in yl]
     y_free = [a for a in result if a in yl and a not in xl]
-    x = _sum_to(x, xl, batch + x_free + shared)
-    y = _sum_to(y, yl, batch + shared + y_free)
-    lead = x.shape[: 1 + len(batch)]
-    x_shape, y_shape = x.shape[len(lead) :][: len(x_free)], y.shape[len(lead) + len(shared) :]
-    n_shared = int(np.prod(x.shape[len(lead) + len(x_free) :]))
-    prod = x.reshape(lead + (-1, n_shared)) @ y.reshape(lead + (n_shared, -1))
+    x = _sum_to(operands.pop(0), xl, batch + x_free + shared)
+    lead, n_batch = x.shape[: 1 + len(batch)], 1 + len(batch)
+    x_shape = x.shape[n_batch : n_batch + len(x_free)]
+    x = x.reshape(lead + (int(np.prod(x_shape)), -1))
+    y = _sum_to(operands.pop(0), yl, batch + shared + y_free)
+    y_shape = y.shape[n_batch + len(shared) :]
+    y = y.reshape(lead + (x.shape[-1], -1))
     out = batch + x_free + y_free
-    return prod.reshape(lead + x_shape + y_shape).transpose([0] + [1 + out.index(a) for a in result])
+    return (x @ y).reshape(lead + x_shape + y_shape).transpose([0] + [1 + out.index(a) for a in result])
 
 
 def _lumped_pairs(diffs_u: np.ndarray, bit_weights: np.ndarray):
@@ -360,7 +365,7 @@ def _exact_user_bep(
         for positions, labels, result in steps:
             taken = [ops.pop(i) for i in positions]
             if len(taken) == 2:
-                ops.append(_contract_pair(taken[0], labels[0], taken[1], labels[1], result))
+                ops.append(_contract_pair(taken, *labels, result))
             else:
                 ops.append(np.einsum(",".join("..." + t for t in labels) + "->..." + result, *taken))
         sums[z] = ops[0]
