@@ -312,12 +312,12 @@ def test_set_bep_equals_user_bep_per_user(ref_cbs, geom, mode):
 
 def test_contraction_in_batch_chunks_equals_one_chunk(ref_cbs, monkeypatch):
     # Quadrature on 4x6 batches Z = 6 targets x 32 gains x 2 MGF terms = 384
-    # entries; the largest step holds 9^4 elements per entry, so this limit
-    # splits Z into chunks of 100, 100, 100 and 84.
+    # entries; the largest step holds four users' values per entry, so this
+    # limit splits Z into chunks of 100, 100, 100 and 84.
     gammas = gains_of(ref_cbs, "quadrature")
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
     whole = _exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0)
-    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", 100 * 9**4)
+    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", 100 * (1 + max(class_counts(ref_cbs))) ** 4)
     assert np.array_equal(_exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0), whole)
 
 
@@ -407,6 +407,13 @@ def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
         user_bep(1, ref_cbs, geom, 10.0, 0.1, truncation=0)
     with pytest.raises(ValueError):
         user_bep(1, ref_cbs, geom, 10.0, 0.1, distance_mode="nope")
+    # set_bep checks its arguments before choosing a bound: on a graph too
+    # large for the exact bound, the argument errors come first.
+    big = make_oversized_set()
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        set_bep(big, geom, 10.0, 0.1, truncation=0)
+    with pytest.raises(ValueError, match="unknown distance_mode"):
+        set_bep(big, geom, 10.0, 0.1, distance_mode="nope")
 
 
 def test_set_bep_summary(reduced_cbs, geom):
