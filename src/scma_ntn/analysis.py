@@ -10,16 +10,15 @@ pairs, with the user's distance ratio replaced by its order-statistic mean
 (a quadrature mode that averages over the full ordered-distance density is
 available for comparison).
 
-The exact bound is a sum-product over the SCMA factor graph: each s_k
-depends only on the d_k users on RN k, so the sum over all error tuples
-contracts one MGF table per RN.  A user's ordered codeword pairs enter only
-through their difference vectors, so pairs with equal vectors are lumped
-into one class (variable merging, Kschischang, Frey & Loeliger 2001) and
-each user's values are "no error" or one of its classes: 8 instead of the
-M(M-1) = 12 pairs on the 4x6 reference design.  Every table carries a
-leading batch axis over (target user, geometry gain, MGF term), so one
-contraction serves every user of a set_bep call.  A truncated bound (at
-most E* < J users in error) enumerates the error supports instead.
+Each s_k depends only on the d_k users on RN k, and a user's ordered pairs
+enter only through their difference vectors, so pairs with equal vectors
+are lumped into one class (variable merging, Kschischang, Frey & Loeliger
+2001): 8 classes instead of 12 pairs on the 4x6 reference design.  The exact
+bound contracts one MGF table per RN over the factor graph, batched over
+(target user, gain, MGF term) so that one contraction serves a set_bep call.
+A truncated bound (at most E* < J users in error) multiplies per-(RN, users)
+tables over each error support's classes, repeating the floating-point
+operations of the row-by-row enumeration the tests keep as the oracle.
 
 SNR convention used throughout (analysis and simulation share one axis):
 the codebook set carries total power J*M over M codeword uses and K RNs,
@@ -141,13 +140,6 @@ def effective_snr_terms(
     return np.abs(diff) ** 2 / (n0 * _geometry_gain(geom, c2))
 
 
-def _pep_from_sk(sk: np.ndarray, kappa: float) -> np.ndarray:
-    """Vectorized PEP over rows of per-RN effective SNRs, shape (n, K) -> (n,)."""
-    m4 = np.prod(rician_mgf(sk / 4.0, kappa), axis=-1)
-    m3 = np.prod(rician_mgf(sk / 3.0, kappa), axis=-1)
-    return m4 / 12.0 + m3 / 4.0
-
-
 def pep(
     event: ErrorEvent,
     cbs: CodebookSet,
@@ -158,65 +150,7 @@ def pep(
 ) -> float:
     """Pairwise error probability of one event, in (0, 1/3]."""
     sk = effective_snr_terms(event, cbs, c2, geom, n0)
-    return float(_pep_from_sk(sk[None, :], kappa)[0])
-
-
-def _difference_tables(cbs: CodebookSet):
-    """Per-user ordered-pair codeword differences and bit-error weights.
-
-    Returns diffs (J, P, K) with P = M(M-1) ordered pairs (m, mhat), m != mhat,
-    and bit_weights (P,) = popcount(m XOR mhat) under natural labeling.
-    """
-    j, k, m = cbs.codebooks.shape
-    pairs = [(a, b) for a in range(m) for b in range(m) if b != a]
-    diffs = np.empty((j, len(pairs), k), dtype=complex)
-    for p, (a, b) in enumerate(pairs):
-        diffs[:, p, :] = cbs.codebooks[:, :, a] - cbs.codebooks[:, :, b]
-    bit_weights = np.array([bin(a ^ b).count("1") for a, b in pairs], dtype=float)
-    return diffs, bit_weights
-
-
-def _enumerate_user_bep(
-    cbs: CodebookSet,
-    target: int,
-    gammas: np.ndarray,
-    kappa: float,
-    n0: float,
-    max_users_in_error: int,
-) -> np.ndarray:
-    """Truncated union-bound numerators at each geometry gain, factorized over error supports.
-
-    Sums M^(J-|S|) * n(m_j, mhat_j) * PEP over every support S containing the
-    target and every per-user ordered difference pair, |S| <= E*.  user_bep
-    uses it for E* < J; at E* = J it is the test oracle of the contraction.
-    """
-    j_users = cbs.dims.j_users
-    m = cbs.dims.m_order
-    diffs, bit_weights = _difference_tables(cbs)
-    n_pairs = diffs.shape[1]
-    supports = cbs.supports()
-    others = [l for l in range(j_users) if l != target]
-    totals = np.zeros(len(gammas))
-    for extra in range(max_users_in_error):
-        for combo in combinations(others, extra):
-            users = sorted(combo + (target,))
-            active = np.nonzero(np.any(supports[users, :], axis=0))[0]
-            agg = np.zeros((1, active.size), dtype=complex)
-            weights = np.ones(1)
-            for l in users:
-                agg = (agg[:, None, :] + diffs[l][None, :, active]).reshape(agg.shape[0] * n_pairs, active.size)
-                w_l = bit_weights if l == target else np.ones(n_pairs)
-                weights = (weights[:, None] * w_l[None, :]).reshape(-1)
-            mult = float(m) ** (j_users - len(users))
-            abs2 = np.abs(agg) ** 2
-            for gi, gamma in enumerate(gammas):
-                acc = 0.0
-                for lo in range(0, abs2.shape[0], _CHUNK):
-                    hi = lo + _CHUNK
-                    sk = abs2[lo:hi] / (n0 * gamma)
-                    acc += float(weights[lo:hi] @ _pep_from_sk(sk, kappa))
-                totals[gi] += mult * acc
-    return totals
+    return float(np.prod(rician_mgf(sk / 4.0, kappa)) / 12.0 + np.prod(rician_mgf(sk / 3.0, kappa)) / 4.0)
 
 
 @lru_cache(maxsize=64)
@@ -225,9 +159,9 @@ def _contraction_plan(rn_users: tuple, domain_sizes: tuple, limit: int):
 
     rn_users holds each busy RN's users, domain_sizes each user's number of
     values.  Returns the steps, as (operand positions to take, their axis
-    labels, the result's labels), and the largest table or step per batch
-    entry.  The path is searched once per graph, domain and limit; the steps
-    then run as batched matrix products, with no einsum path parsed again.
+    labels, the result's labels) and, per batch entry, the largest table or
+    step and the most elements held at once.  The path is searched once per
+    graph, domain and limit; the steps then run as batched matrix products.
     """
     placed = sorted({u for users in rn_users for u in users})
     labels = {u: string.ascii_letters[i] for i, u in enumerate(placed)}
@@ -236,7 +170,8 @@ def _contraction_plan(rn_users: tuple, domain_sizes: tuple, limit: int):
     shapes = [np.broadcast_to(0.0, [sizes[a] for a in t]) for t in terms]
     # numpy's default limit is the largest input, which on 4x6 forbids every pairwise step.
     path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize=("greedy", limit))
-    largest = max(int(np.prod([sizes[a] for a in t])) for t in terms)
+    largest = max(shape.size for shape in shapes)
+    held = sum(shape.size for shape in shapes)
     steps, live = [], list(terms)
     for step in path[1:]:
         positions = tuple(sorted(step, reverse=True))
@@ -248,7 +183,9 @@ def _contraction_plan(rn_users: tuple, domain_sizes: tuple, limit: int):
         largest = max(largest, int(np.prod([sizes[a] for a in (result if len(taken) <= 2 else axes)])))
         steps.append((positions, taken, result))
         live.append(result)
-    return tuple(steps), largest
+        # The other live tables, the step's inputs (or their reordered copies) and its product coexist.
+        held = max(held, sum(int(np.prod([sizes[a] for a in t])) for t in live + list(taken)))
+    return tuple(steps), largest, held
 
 
 def _sum_to(t: np.ndarray, labels: str, order: list) -> np.ndarray:
@@ -281,17 +218,81 @@ def _contract_pair(operands: list, xl: str, yl: str, result: str) -> np.ndarray:
     return (x @ y).reshape(lead + x_shape + y_shape).transpose([0] + [1 + out.index(a) for a in result])
 
 
-def _lumped_pairs(diffs_u: np.ndarray, bit_weights: np.ndarray):
-    """One user's ordered pairs lumped into classes of equal difference vectors.
+def _lumped_pairs(cbs: CodebookSet):
+    """Each user's ordered codeword pairs (m, mhat), m != mhat, lumped into classes of equal difference vectors.
 
-    Returns the class vectors (C, K), each class's pair count and its summed
-    bit weights; pairs in one class give every error event the same PEP.
+    Returns each user's class vectors (C_u, K), in order of first appearance,
+    each pair's class (J, P) and its bit-error weight popcount(m XOR mhat)
+    (P,).  Pairs in one class give every error event the same PEP.
     """
-    classes = {}  # + 0.0 turns -0.0 into 0.0, so equal vectors have equal bytes
-    inverse = np.array([classes.setdefault(row.tobytes(), len(classes)) for row in diffs_u + 0.0])
-    vectors = np.empty((len(classes), diffs_u.shape[1]), dtype=diffs_u.dtype)
-    vectors[inverse] = diffs_u
-    return vectors, np.bincount(inverse).astype(float), np.bincount(inverse, weights=bit_weights)
+    a, b = np.nonzero(~np.eye(cbs.dims.m_order, dtype=bool))
+    # + 0.0 turns -0.0 into 0.0, so equal vectors have equal bytes
+    diffs = np.ascontiguousarray((cbs.codebooks[:, :, a] - cbs.codebooks[:, :, b] + 0.0).transpose(0, 2, 1))
+    rows = diffs.view(np.dtype((np.void, diffs[0, 0].nbytes)))[..., 0].tolist()
+    classes = [{row: c for c, row in enumerate(dict.fromkeys(user_rows))} for user_rows in rows]
+    inverse = np.array([[index[row] for row in user_rows] for index, user_rows in zip(classes, rows)])
+    vectors = [np.frombuffer(b"".join(index), dtype=complex).reshape(len(index), -1) for index in classes]
+    return vectors, inverse, np.array([bin(x).count("1") for x in a ^ b], dtype=float)
+
+
+def _truncated_user_bep(
+    cbs: CodebookSet, targets, gammas: np.ndarray, kappa: float, n0: float, e_star: int
+) -> np.ndarray:
+    """Truncated union-bound numerators of several targets, over error supports of at most e_star users.
+
+    targets are 0-based users and gammas (T, G) their geometry gains; returns
+    (T, G).  RN k's MGF factor depends only on the classes of the support's
+    users on k, so one table per (RN, users) serves every support.  The
+    tables are multiplied in ascending RN order, the PEP is gathered back to
+    ordered-pair order and summed in _CHUNK slices, and each target adds up
+    its supports in the enumeration's order: the result equals the
+    enumeration's bit for bit.
+    """
+    j_users, m = cbs.dims.j_users, cbs.dims.m_order
+    vectors, inverse, bits = _lumped_pairs(cbs)
+    on_rn = [{int(u) for u in users} for users in cbs.collision_sets()]
+    gains, gain_of = np.unique(gammas, return_inverse=True)
+    gain_of = gain_of.reshape(gammas.shape).tolist()
+    position = {t: i for i, t in enumerate(targets)}
+
+    def gains_at(users):  # sorted indices into gains of the targets among users
+        return sorted({g for u in users if u in position for g in gain_of[position[u]]})
+
+    # MGF at s/4 and s/3 of each (RN, users on it) a support can hold, at every gain; a table of
+    # e_star users serves only the support they form, so it takes only their targets' gains.
+    keys = [(k, us) for k, on_k in enumerate(on_rn) for n in range(e_star) for us in combinations(sorted(on_k), n + 1)]
+    sums_k = [reduce(np.add.outer, [vectors[u][:, k] for u in users]) for k, users in keys]
+    at = [np.arange(gains.size) if len(users) < e_star else gains_at(users) for _, users in keys]
+    sk = np.abs(np.concatenate([a.ravel() for a in sums_k])) ** 2 / (n0 * gains)[:, None]
+    sk = [s[g] for s, g in zip(np.split(sk, np.cumsum([a.size for a in sums_k]), axis=1), at)]
+    mgf = rician_mgf(np.concatenate([s.ravel() for s in sk]) / np.array([[4.0], [3.0]]), kappa)
+    mgf = np.split(mgf, np.cumsum([s.size for s in sk]), axis=1)
+    tables = {key: t.reshape((2, len(s)) + a.shape) for key, t, s, a in zip(keys, mgf, sk, sums_k)}
+
+    # Supports run by size, then in lexicographic order, which is each target's enumeration order.
+    totals = np.zeros(gammas.shape)
+    for size in range(1, e_star + 1):
+        # The bit weights of the ordered-pair rows, by the target's place in the support.
+        weights = [np.repeat(np.tile(bits, bits.size**i), bits.size ** (size - 1 - i)) for i in range(size)]
+        for support in combinations(range(j_users), size):
+            hit = [position[u] for u in support if u in position]
+            if not hit:
+                continue
+            need = gains_at(support)
+            prod = np.ones((2, len(need)) + (1,) * size)
+            for k, on_k in enumerate(on_rn):
+                users = tuple(u for u in support if u in on_k)
+                if users:
+                    table = tables[k, users] if len(users) == e_star else tables[k, users][:, need]
+                    prod = prod * table.reshape([2, -1] + [len(vectors[u]) if u in users else 1 for u in support])
+            rows = reduce(lambda r, u: np.add.outer(r * len(vectors[u]), inverse[u]).ravel(), support, 0)
+            peps = np.take((prod[0] / 12.0 + prod[1] / 4.0).reshape(len(need), -1), rows, axis=1)
+            for i in hit:
+                w = weights[support.index(targets[i])]
+                dots = [[float(w[lo : lo + _CHUNK] @ peps[need.index(g), lo : lo + _CHUNK])
+                         for lo in range(0, w.size, _CHUNK)] for g in gain_of[i]]
+                totals[i] += float(m) ** (j_users - size) * np.array([sum(d) for d in dots])
+    return totals
 
 
 def _exact_user_bep(
@@ -308,11 +309,11 @@ def _exact_user_bep(
     the tables' product over all values is the enumeration at E* = J.  Each
     user's weights are folded into the first RN it occupies; a user on no
     RN contributes their sum, an idle RN contributes 1.  Z runs in chunks
-    that keep every table and step within _MAX_ELEMENTS elements.
+    that keep what a step holds at once within _MAX_ELEMENTS elements.
     """
     dims = cbs.dims
     m = dims.m_order
-    diffs, bit_weights = _difference_tables(cbs)
+    vectors, inverse, bit_weights = _lumped_pairs(cbs)
     collision = cbs.collision_sets()
     rns = [users for users in collision if users]
     placed = sorted({u for users in rns for u in users})
@@ -328,12 +329,11 @@ def _exact_user_bep(
         raise ValueError(f"exact bound on the {graph}: {len(placed)} users on RNs, einsum labels at most 52")
     values, weights, bits = {}, {}, {}
     for u in placed:
-        vecs, counts, bit_sums = _lumped_pairs(diffs[u], bit_weights)
-        values[u] = np.concatenate([np.zeros((1, dims.k_resources)), vecs])
-        weights[u] = np.concatenate([[float(m)], counts])
-        bits[u] = np.concatenate([[0.0], bit_sums])
+        values[u] = np.concatenate([np.zeros((1, dims.k_resources)), vectors[u]])
+        weights[u] = np.concatenate([[float(m)], np.bincount(inverse[u]).astype(float)])
+        bits[u] = np.concatenate([[0.0], np.bincount(inverse[u], weights=bit_weights)])
     domain = tuple(len(values[u]) if u in values else 0 for u in range(dims.j_users))
-    steps, largest = _contraction_plan(tuple(map(tuple, rns)), domain, _MAX_ELEMENTS)
+    steps, largest, held = _contraction_plan(tuple(map(tuple, rns)), domain, _MAX_ELEMENTS)
     if largest > _MAX_ELEMENTS:
         raise ValueError(
             f"exact bound on the {graph}: a table or contraction step of {largest:.3g} elements, "
@@ -354,7 +354,7 @@ def _exact_user_bep(
 
     scale = (n0 * gammas[:, :, None] * np.array([4.0, 3.0])).reshape(-1)
     target_of = np.repeat(np.arange(len(targets)), scale.size // len(targets))
-    chunk = _MAX_ELEMENTS // largest
+    chunk = max(1, _MAX_ELEMENTS // held)
     sums = np.empty(scale.size)
     for lo in range(0, scale.size, chunk):
         z = slice(lo, lo + chunk)
@@ -390,7 +390,7 @@ def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode
 def _user_beps(
     ranks, cbs: CodebookSet, geom: CellGeometry, kappa: float, n0: float, truncation, distance_mode, c2
 ) -> np.ndarray:
-    """BEP bounds of the users at the given distance ranks; the exact bound takes them in one contraction."""
+    """BEP bounds of the users at the given distance ranks, all from one call of the exact or truncated kernel."""
     j_users = cbs.dims.j_users
     e_star = j_users if truncation is None else int(truncation)
     if e_star < 1:
@@ -400,7 +400,7 @@ def _user_beps(
     if e_star >= j_users:
         totals = _exact_user_bep(cbs, [j_rank - 1 for j_rank in ranks], gammas, kappa, n0)
     else:
-        totals = [_enumerate_user_bep(cbs, j_rank - 1, g, kappa, n0, e_star) for j_rank, g in zip(ranks, gammas)]
+        totals = _truncated_user_bep(cbs, [j_rank - 1 for j_rank in ranks], gammas, kappa, n0, e_star)
     m = cbs.dims.m_order
     norm = float(m) ** j_users * np.log2(m)
     return np.array([float((w @ t) / norm) for (_, w), t in zip(gains, totals)])
@@ -440,8 +440,8 @@ def set_bep(
 ) -> BepSummary:
     """Average and worst BEP bounds over all users, plus the per-user vector.
 
-    Takes the same truncation and distance_mode as user_bep; the exact bound
-    serves every user from one contraction.
+    Takes the same truncation and distance_mode as user_bep; either bound
+    serves every user from one kernel call.
     """
     ranks = range(1, cbs.dims.j_users + 1)
     return BepSummary(per_user=_user_beps(ranks, cbs, geom, kappa, n0, truncation, distance_mode, None))

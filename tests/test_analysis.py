@@ -23,16 +23,16 @@ from scma_ntn import (
     user_bep,
 )
 from scma_ntn.analysis import (
-    _difference_tables,
     _distance_gains,
-    _enumerate_user_bep,
     _exact_user_bep,
     _lumped_pairs,
+    _truncated_user_bep,
     effective_snr_terms,
     write_bep_csv,
 )
 
-from conftest import make_oversized_set, make_reduced_set, small_sets
+from conftest import make_codebook_set, make_oversized_set, make_reduced_set, small_sets
+from union_bound_oracle import enumerate_user_bep
 
 # Irregular graphs as K and the RNs of each user: the reduced set's layout,
 # one with an idle RN (RN 2), and one with a user on no RN (an all-zero codebook).
@@ -68,13 +68,12 @@ def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode=None, gammas
     gammas = gains_of(cbs, mode) if gammas is None else gammas
     got = _exact_user_bep(cbs, list(range(j_users)), gammas, kappa, n0)
     for t in range(j_users):
-        want = _enumerate_user_bep(cbs, t, gammas[t], kappa, n0, max_users_in_error=j_users)
+        want = enumerate_user_bep(cbs, t, gammas[t], kappa, n0, max_users_in_error=j_users)
         assert np.all(np.abs(got[t] - want) <= 1e-12 * want), (t, got[t], want)
 
 
 def class_counts(cbs):
-    diffs, bit_weights = _difference_tables(cbs)
-    return [len(_lumped_pairs(d, bit_weights)[0]) for d in diffs]
+    return [len(vectors) for vectors in _lumped_pairs(cbs)[0]]
 
 
 def q_true(x):
@@ -312,13 +311,66 @@ def test_set_bep_equals_user_bep_per_user(ref_cbs, geom, mode):
 
 def test_contraction_in_batch_chunks_equals_one_chunk(ref_cbs, monkeypatch):
     # Quadrature on 4x6 batches Z = 6 targets x 32 gains x 2 MGF terms = 384
-    # entries; the largest step holds four users' values per entry, so this
-    # limit splits Z into chunks of 100, 100, 100 and 84.
+    # entries.  Per entry, the first pairwise step holds the four RN tables of
+    # three users' values each and its product of four users' values, so this
+    # limit splits Z into five chunks of 69 entries and one of 39.
+    size = 1 + max(class_counts(ref_cbs))
+    limit = 100 * size**4
+    rns = tuple(tuple(users) for users in ref_cbs.collision_sets())
+    assert analysis_mod._contraction_plan(rns, (size,) * 6, limit)[2] == 4 * size**3 + size**4
     gammas = gains_of(ref_cbs, "quadrature")
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
     whole = _exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0)
-    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", 100 * (1 + max(class_counts(ref_cbs))) ** 4)
+    monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", limit)
     assert np.array_equal(_exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0), whole)
+
+
+def assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, targets=None):
+    """The truncated kernel repeats the enumeration's arithmetic: equal bit for bit, for all targets or some."""
+    n0 = snr_db_to_n0(snr_db, cbs.dims)
+    gammas = gains_of(cbs, mode)
+    targets = range(cbs.dims.j_users) if targets is None else targets
+    got = _truncated_user_bep(cbs, list(targets), gammas[list(targets)], kappa, n0, e_star)
+    want = np.array([enumerate_user_bep(cbs, t, gammas[t], kappa, n0, e_star) for t in targets])
+    assert np.array_equal(got, want), (e_star, mode, got, want)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.one_of(small_sets(), st.just(make_reduced_set())), *BOUND_SETTINGS)
+def test_truncated_kernel_equals_enumeration_bit_for_bit(cbs, kappa, snr_db, mode):
+    for e_star in range(1, cbs.dims.j_users):
+        assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star)
+        assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, targets=[cbs.dims.j_users - 1])
+
+
+@pytest.mark.parametrize("k, layout", IRREGULAR_LAYOUTS)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.data(), *BOUND_SETTINGS)
+def test_truncated_kernel_equals_enumeration_on_irregular_graphs(k, layout, data, kappa, snr_db, mode):
+    cbs = data.draw(irregular_sets(k, layout))
+    for e_star in range(1, cbs.dims.j_users):
+        assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star)
+
+
+@pytest.mark.parametrize("mode", ["mean", "quadrature"])
+def test_truncated_kernel_with_idle_rn_absent_user_and_constant_user(mode):
+    rng = np.random.default_rng(8)
+    books = np.zeros((4, 3, 4), dtype=complex)
+    books[0, 0] = rng.normal(size=4) + 1j * rng.normal(size=4)
+    books[1, [0, 1]] = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    books[3, 1] = 0.7 - 0.2j
+    cbs = CodebookSet.from_codebooks(books, SystemDims(3, 4, 4, 1))
+    assert cbs.collision_sets() == [[0, 1], [1, 3], []]
+    for e_star in (1, 2, 3):
+        assert_truncated_equals_enumeration(cbs, 10.0, 9.0, mode, e_star)
+
+
+def test_truncated_kernel_sums_rows_in_chunks():
+    # At M = 8 a support of three users has 56^3 = 175616 ordered-pair rows,
+    # more than one _CHUNK slice holds, so the PEP sum is taken in two dots.
+    cbs = make_codebook_set(1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3), SystemDims(4, 6, 8, 2))
+    assert 56**3 > analysis_mod._CHUNK
+    assert_truncated_equals_enumeration(cbs, 10.0, 12.0, "mean", 3, targets=[2])
 
 
 def test_truncated_bounds_climb_to_the_exact_bound(ref_cbs, geom):
