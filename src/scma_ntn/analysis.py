@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-# Largest table, in elements, the exact bound may hold: an RN's MGF table or
-# an intermediate of its contraction path.
+# Largest table, in elements, the exact bound may hold (an RN's MGF table or
+# an intermediate of its path); its batch chunks keep each step's arrays within it.
 _MAX_ELEMENTS = 1 << 24
 # Gauss-Legendre nodes of the quadrature distance mode.
 _QUAD_ORDER = 32

@@ -287,10 +287,9 @@ def test_contraction_without_merged_classes(mode):
     assert_contraction_matches_enumeration(cbs, 4.0, 6.0, mode)
 
 
-@pytest.mark.parametrize("mode", ["mean", "quadrature"])
-def test_contraction_with_idle_rn_absent_user_and_constant_user(mode):
-    # RN 2 is idle, user 2 has an all-zero codebook and so sits on no RN, and
-    # user 3's codewords are all equal, so its pairs lump into one zero class.
+def idle_rn_absent_user_and_constant_user_set():
+    """RN 2 is idle, user 2 has an all-zero codebook and so sits on no RN, and
+    user 3's codewords are all equal, so its pairs lump into one zero class."""
     rng = np.random.default_rng(8)
     books = np.zeros((4, 3, 4), dtype=complex)
     books[0, 0] = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -299,7 +298,12 @@ def test_contraction_with_idle_rn_absent_user_and_constant_user(mode):
     cbs = CodebookSet.from_codebooks(books, SystemDims(3, 4, 4, 1))
     assert cbs.collision_sets() == [[0, 1], [1, 3], []]
     assert class_counts(cbs)[3] == 1
-    assert_contraction_matches_enumeration(cbs, 10.0, 9.0, mode)
+    return cbs
+
+
+@pytest.mark.parametrize("mode", ["mean", "quadrature"])
+def test_contraction_with_idle_rn_absent_user_and_constant_user(mode):
+    assert_contraction_matches_enumeration(idle_rn_absent_user_and_constant_user_set(), 10.0, 9.0, mode)
 
 
 @pytest.mark.parametrize("mode", ["mean", "quadrature"])
@@ -354,13 +358,7 @@ def test_truncated_kernel_equals_enumeration_on_irregular_graphs(k, layout, data
 
 @pytest.mark.parametrize("mode", ["mean", "quadrature"])
 def test_truncated_kernel_with_idle_rn_absent_user_and_constant_user(mode):
-    rng = np.random.default_rng(8)
-    books = np.zeros((4, 3, 4), dtype=complex)
-    books[0, 0] = rng.normal(size=4) + 1j * rng.normal(size=4)
-    books[1, [0, 1]] = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    books[3, 1] = 0.7 - 0.2j
-    cbs = CodebookSet.from_codebooks(books, SystemDims(3, 4, 4, 1))
-    assert cbs.collision_sets() == [[0, 1], [1, 3], []]
+    cbs = idle_rn_absent_user_and_constant_user_set()
     for e_star in (1, 2, 3):
         assert_truncated_equals_enumeration(cbs, 10.0, 9.0, mode, e_star)
 
