@@ -19,7 +19,8 @@ bound contracts one MGF table per RN over the factor graph, batched over
 numpy's einsum runs it on a greedy path cached per graph.
 A truncated bound (at most E* < J users in error) multiplies per-(RN, users)
 tables over each error support's classes, repeating the floating-point
-operations of the row-by-row enumeration the tests keep as the oracle.
+operations of the row-by-row enumeration the tests keep as the oracle; given
+several sets (a GA generation), it runs them on a leading candidate axis.
 
 SNR convention used throughout (analysis and simulation share one axis):
 the codebook set carries total power J*M over M codeword uses and K RNs,
@@ -31,6 +32,7 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -51,6 +53,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
+# Elements one chunk of the truncated bound's stacked sets may hold: their
+# MGF tables and one support's PEP.
+_STACK_ELEMENTS = 1 << 21
 # Largest table, in elements, the exact bound may hold (an RN's MGF table or
 # an intermediate of its path); its batch chunks keep each step's arrays within it.
 _MAX_ELEMENTS = 1 << 24
@@ -214,64 +219,135 @@ def _lumped_pairs(cbs: CodebookSet):
     return vectors, inverse, np.array([bin(x).count("1") for x in a ^ b], dtype=float)
 
 
-def _truncated_user_bep(
-    cbs: CodebookSet, targets, gammas: np.ndarray, kappa: float, n0: float, e_star: int
-) -> np.ndarray:
-    """Truncated union-bound numerators of several targets, over error supports of at most e_star users.
+def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: float, e_star: int) -> np.ndarray:
+    """Truncated union-bound numerators of several sets and targets, over error supports of at most e_star users.
 
-    targets are 0-based users and gammas (T, G) their geometry gains; returns
-    (T, G).  RN k's MGF factor depends only on the classes of the support's
-    users on k, so one table per (RN, users) serves every support.  The
-    tables are multiplied in ascending RN order, the PEP is gathered back to
-    ordered-pair order and summed in _CHUNK slices, and each target adds up
-    its supports in the enumeration's order: the result equals the
-    enumeration's bit for bit.
+    sets share dims, targets are 0-based users and gammas (T, G) their
+    geometry gains; returns (S, T, G).  RN k's MGF factor depends only on
+    the classes of the support's users on k, so one table per (RN, users)
+    serves every support.  A table of e_star users serves only the support
+    they form, which builds it at its targets' gains; the smaller ones are
+    built one set at a time, at every gain.
+
+    Sets with equal collision sets and pair classes share every support's
+    table shapes and gather rows.  Such a group runs on a leading candidate
+    axis, in chunks that hold at most _STACK_ELEMENTS elements of tables and
+    of one support's PEP (at least one set), so a GA generation pays each
+    support's numpy calls once per chunk, not once per set.
+
+    The tables are multiplied in ascending RN order, the PEP is gathered back
+    to ordered-pair order and summed in _CHUNK slices, and each target adds
+    up its supports in the enumeration's order, so every set's result equals
+    the enumeration's bit for bit.  Each slice is summed by np.vecdot, which
+    runs BLAS ddot on each (set, gain) row as `w @ p` does; np.matmul would
+    run gemv and move the last ulp.
     """
-    j_users, m = cbs.dims.j_users, cbs.dims.m_order
-    vectors, inverse, bits = _lumped_pairs(cbs)
-    on_rn = [{int(u) for u in users} for users in cbs.collision_sets()]
+    totals = np.zeros((len(sets),) + gammas.shape)
+    j_users, m = sets[0].dims.j_users, sets[0].dims.m_order
+    lumped = [_lumped_pairs(c) for c in sets]
     gains, gain_of = np.unique(gammas, return_inverse=True)
     gain_of = gain_of.reshape(gammas.shape).tolist()
+    scale = n0 * gains
     position = {t: i for i, t in enumerate(targets)}
 
     def gains_at(users):  # sorted indices into gains of the targets among users
         return sorted({g for u in users if u in position for g in gain_of[position[u]]})
 
-    # MGF at s/4 and s/3 of each (RN, users on it) a support can hold, at every gain; a table of
-    # e_star users serves only the support they form, so it takes only their targets' gains.
-    keys = [(k, us) for k, on_k in enumerate(on_rn) for n in range(e_star) for us in combinations(sorted(on_k), n + 1)]
-    sums_k = [reduce(np.add.outer, [vectors[u][:, k] for u in users]) for k, users in keys]
-    at = [np.arange(gains.size) if len(users) < e_star else gains_at(users) for _, users in keys]
-    sk = np.abs(np.concatenate([a.ravel() for a in sums_k])) ** 2 / (n0 * gains)[:, None]
-    sk = [s[g] for s, g in zip(np.split(sk, np.cumsum([a.size for a in sums_k]), axis=1), at)]
-    mgf = rician_mgf(np.concatenate([s.ravel() for s in sk]) / np.array([[4.0], [3.0]]), kappa)
-    mgf = np.split(mgf, np.cumsum([s.size for s in sk]), axis=1)
-    tables = {key: t.reshape((2, len(s)) + a.shape) for key, t, s, a in zip(keys, mgf, sk, sums_k)}
+    groups = {}
+    for s, (c, (_, inverse, _)) in enumerate(zip(sets, lumped)):
+        groups.setdefault((tuple(map(tuple, c.collision_sets())), inverse.tobytes()), []).append(s)
+    for (collision, _), members in groups.items():
+        vectors, inverse, bits = lumped[members[0]]
+        classes = [len(v) for v in vectors]
+        on_rn = [{int(u) for u in users} for users in collision]
+        # The tables of each (RN, fewer than e_star users on it) at every gain, one set at a time.
+        # A table of e_star users serves only the support they form, so that support builds it at
+        # its targets' gains.
+        keys = [
+            (k, us) for k, on_k in enumerate(on_rn) for n in range(e_star - 1) for us in combinations(sorted(on_k), n + 1)
+        ]
+        cells = np.cumsum([0] + [prod(classes[u] for u in users) for _, users in keys])
 
-    # Supports run by size, then in lexicographic order, which is each target's enumeration order.
-    totals = np.zeros(gammas.shape)
-    for size in range(1, e_star + 1):
-        # The bit weights of the ordered-pair rows, by the target's place in the support.
-        weights = [np.repeat(np.tile(bits, bits.size**i), bits.size ** (size - 1 - i)) for i in range(size)]
-        for support in combinations(range(j_users), size):
-            hit = [position[u] for u in support if u in position]
-            if not hit:
-                continue
-            need = gains_at(support)
-            prod = np.ones((2, len(need)) + (1,) * size)
-            for k, on_k in enumerate(on_rn):
-                users = tuple(u for u in support if u in on_k)
-                if users:
-                    table = tables[k, users] if len(users) == e_star else tables[k, users][:, need]
-                    prod = prod * table.reshape([2, -1] + [len(vectors[u]) if u in users else 1 for u in support])
-            rows = reduce(lambda r, u: np.add.outer(r * len(vectors[u]), inverse[u]).ravel(), support, 0)
-            peps = np.take((prod[0] / 12.0 + prod[1] / 4.0).reshape(len(need), -1), rows, axis=1)
-            for i in hit:
-                w = weights[support.index(targets[i])]
-                dots = [[float(w[lo : lo + _CHUNK] @ peps[need.index(g), lo : lo + _CHUNK])
-                         for lo in range(0, w.size, _CHUNK)] for g in gain_of[i]]
-                totals[i] += float(m) ** (j_users - size) * np.array([sum(d) for d in dots])
+        # Supports run by size, then in lexicographic order, which is each target's enumeration order.
+        # Each support's dots fill a slice of a row of terms; gather lists each target's terms in
+        # that order, padded with the row's last term, which stays 0.
+        plan, gather, n_terms, largest = [], [[] for _ in targets], 0, 0
+        prefix_rows = {(): 0}
+        for size in range(1, e_star + 1):
+            # The bit weights of the ordered-pair rows, by the target's place in the support.
+            weights = np.array(
+                [np.repeat(np.tile(bits, bits.size**i), bits.size ** (size - 1 - i)) for i in range(size)]
+            )
+            for support in combinations(range(j_users), size):
+                if size < e_star:
+                    prefix_rows[support] = np.add.outer(
+                        prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]
+                    ).ravel()
+                hit = [position[u] for u in support if u in position]
+                if not hit:
+                    continue
+                need = gains_at(support)
+                factors = []
+                for k, on_k in enumerate(on_rn):
+                    users = tuple(u for u in support if u in on_k)
+                    if users:
+                        tail = tuple(classes[u] if u in users else 1 for u in support)
+                        factors.append((k, users, (-1, 2, len(need)) + tail))
+                for i in hit:
+                    first = n_terms + support.index(targets[i]) * len(need)
+                    gather[i].append([first + need.index(g) for g in gain_of[i]])
+                ones = np.ones((1, 2, len(need)) + (1,) * size)
+                plan.append((support, np.array(need), ones, factors, weights, n_terms, float(m) ** (j_users - size)))
+                n_terms += size * len(need)
+                largest = max(largest, len(need) * (4 * prod(classes[u] for u in support) + weights.shape[1]))
+        pad = [n_terms] * gammas.shape[1]
+        gather = np.array([g + [pad] * (max(map(len, gather)) - len(g)) for g in gather])
+
+        chunk = max(1, _STACK_ELEMENTS // (2 * gains.size * int(cells[-1]) + largest))
+        for first in range(0, len(members), chunk):
+            batch = members[first : first + chunk]
+            stacked = [np.stack([lumped[s][0][u] for s in batch]) for u in range(j_users)]
+            stack = np.empty((len(batch), 2, gains.size, int(cells[-1])))
+            for b in range(len(batch) if keys else 0):
+                stack[b : b + 1] = _mgf_tables([v[b : b + 1] for v in stacked], keys, scale, kappa)
+            tables = {
+                (k, users): stack[..., lo:hi].reshape((len(batch), 2, gains.size) + tuple(classes[u] for u in users))
+                for (k, users), lo, hi in zip(keys, cells, cells[1:])
+            }
+            terms = np.zeros((len(batch), n_terms + 1))
+            for support, need, pep, factors, weights, lo, mult in plan:
+                for k, users, shape in factors:
+                    if len(users) < e_star:
+                        table = tables[k, users].take(need, axis=2)
+                    else:
+                        table = _mgf_tables(stacked, [(k, users)], scale[need], kappa)
+                    pep = pep * table.reshape(shape)
+                rows = np.add.outer(prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]).ravel()
+                pep = (pep[:, 0] / 12.0 + pep[:, 1] / 4.0).reshape(len(pep), len(need), -1).take(rows, axis=2)
+                # (set, place in the support, gain): every place's weights against every needed gain.
+                dots = np.vecdot(pep[:, None, :, :_CHUNK], weights[:, None, :_CHUNK])
+                for c in range(_CHUNK, weights.shape[1], _CHUNK):
+                    dots = dots + np.vecdot(pep[:, None, :, c : c + _CHUNK], weights[:, None, c : c + _CHUNK])
+                terms[:, lo : lo + dots[0].size] = mult * dots.reshape(len(dots), -1)
+            # A running sum in support order; the padding adds zeros.
+            totals[batch] = np.add.accumulate(terms.take(gather, axis=1), axis=2)[:, :, -1]
     return totals
+
+
+def _mgf_tables(vectors, keys, scale: np.ndarray, kappa: float) -> np.ndarray:
+    """MGF at s/4 and s/3 of each (RN k, users) key's class sums, for a leading axis of sets.
+
+    vectors holds each user's class vectors (B, C_u, K), and s is
+    |sum_u d_u[k]|^2 / scale for each scale.  Returns (B, 2, len(scale),
+    cells): each key's classes, flattened, follow the previous key's.
+    """
+
+    def outer(a, v):  # np.add.outer(a, v) of every set's rows
+        return a[..., None] + v.reshape(v.shape[:1] + (1,) * (a.ndim - 1) + v.shape[1:])
+
+    sums = [reduce(outer, [vectors[u][:, :, k] for u in users]).reshape(len(vectors[0]), -1) for k, users in keys]
+    sk = (np.abs(np.concatenate(sums, axis=1)) ** 2)[:, None] / scale[:, None]
+    return rician_mgf(sk[:, None] / np.array([4.0, 3.0])[:, None, None], kappa)
 
 
 def _exact_user_bep(
@@ -363,22 +439,27 @@ def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode
 
 
 def _user_beps(
-    ranks, cbs: CodebookSet, geom: CellGeometry, kappa: float, n0: float, truncation, distance_mode, c2
+    ranks, sets, geom: CellGeometry, kappa: float, n0: float, truncation, distance_mode, c2
 ) -> np.ndarray:
-    """BEP bounds of the users at the given distance ranks, all from one call of the exact or truncated kernel."""
-    j_users = cbs.dims.j_users
+    """BEP bounds (S, T) of the users at the given distance ranks in sets that share dims.
+
+    The truncated kernel serves every set and user in one call; the exact
+    one serves every user of a set in one call.
+    """
+    j_users = sets[0].dims.j_users
     e_star = j_users if truncation is None else int(truncation)
     if e_star < 1:
         raise ValueError("truncation must be >= 1")
     gains = [_distance_gains(j_rank, j_users, geom, distance_mode, c2) for j_rank in ranks]
     gammas = np.array([g for g, _ in gains])
+    targets = [j_rank - 1 for j_rank in ranks]
     if e_star >= j_users:
-        totals = _exact_user_bep(cbs, [j_rank - 1 for j_rank in ranks], gammas, kappa, n0)
+        totals = np.array([_exact_user_bep(cbs, targets, gammas, kappa, n0) for cbs in sets])
     else:
-        totals = _truncated_user_bep(cbs, [j_rank - 1 for j_rank in ranks], gammas, kappa, n0, e_star)
-    m = cbs.dims.m_order
+        totals = _truncated_user_bep(sets, targets, gammas, kappa, n0, e_star)
+    m = sets[0].dims.m_order
     norm = float(m) ** j_users * np.log2(m)
-    return np.array([float((w @ t) / norm) for (_, w), t in zip(gains, totals)])
+    return np.vecdot(totals, np.array([w for _, w in gains])) / norm
 
 
 def user_bep(
@@ -402,24 +483,33 @@ def user_bep(
     j_users = cbs.dims.j_users
     if not 1 <= j_rank <= j_users:
         raise ValueError(f"j_rank must be in 1..{j_users}")
-    return float(_user_beps([j_rank], cbs, geom, kappa, n0, truncation, distance_mode, c2)[0])
+    return float(_user_beps([j_rank], [cbs], geom, kappa, n0, truncation, distance_mode, c2)[0, 0])
 
 
 def set_bep(
-    cbs: CodebookSet,
+    cbs,
     geom: CellGeometry,
     kappa: float,
     n0: float,
     truncation: int | None = None,
     distance_mode: str = "mean",
-) -> BepSummary:
+):
     """Average and worst BEP bounds over all users, plus the per-user vector.
 
-    Takes the same truncation and distance_mode as user_bep; either bound
-    serves every user from one kernel call.
+    Takes the same truncation and distance_mode as user_bep.  cbs is one
+    CodebookSet, which returns one BepSummary, or a sequence of sets with
+    equal dims, which returns a list of them: the truncated bound serves the
+    whole sequence from one kernel call, the exact bound each set from one.
     """
-    ranks = range(1, cbs.dims.j_users + 1)
-    return BepSummary(per_user=_user_beps(ranks, cbs, geom, kappa, n0, truncation, distance_mode, None))
+    sets = [cbs] if isinstance(cbs, CodebookSet) else list(cbs)
+    if not sets:
+        return []
+    if len({c.dims for c in sets}) > 1:
+        raise ValueError("the sets of one set_bep call must share dims")
+    ranks = range(1, sets[0].dims.j_users + 1)
+    per_user = _user_beps(ranks, sets, geom, kappa, n0, truncation, distance_mode, None)
+    summaries = [BepSummary(per_user=p) for p in per_user]
+    return summaries[0] if isinstance(cbs, CodebookSet) else summaries
 
 
 def write_bep_csv(path, snr_db_grid, per_user_matrix) -> None:

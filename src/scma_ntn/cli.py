@@ -257,16 +257,6 @@ def _cmd_design(args, cfg) -> int:
     return EXIT_OK
 
 
-def _load_codebooks(paths):
-    sets = []
-    for p in paths:
-        try:
-            sets.append(import_codebook_set(p))
-        except (OSError, CodebookFormatError) as exc:
-            raise CodebookFormatError(f"{p}: {exc}") from exc
-    return sets
-
-
 def _analyze_one(cbs, cfg, snr_grid, geom):
     kappa = _kappa(cfg)
     trunc = None if _bool(cfg["analysis"]["exact_bep"]) else _truncation(cfg["analysis"]["truncation"])
@@ -281,7 +271,7 @@ def _analyze_one(cbs, cfg, snr_grid, geom):
 
 
 def _cmd_analyze(args, cfg) -> int:
-    cbs = _load_codebooks([args.codebook])[0]
+    cbs = import_codebook_set(args.codebook)
     snr_grid = _parse_snr_grid(cfg["analysis"]["snr_grid"])
     table = _analyze_one(cbs, cfg, snr_grid, _geometry(cfg))
     out = _out_dir(args)
@@ -312,7 +302,7 @@ def _sim_config(args, cfg, snr_grid) -> SimConfig:
 
 
 def _cmd_simulate(args, cfg) -> int:
-    cbs = _load_codebooks([args.codebook])[0]
+    cbs = import_codebook_set(args.codebook)
     snr_grid = _parse_snr_grid(cfg["simulate"]["snr_grid"])
     sim_cfg = _sim_config(args, cfg, snr_grid)
     result = run_ber_sweep(sim_cfg, cbs)
@@ -343,7 +333,7 @@ def _cmd_compare(args, cfg) -> int:
         return EXIT_USAGE
     if not 0 < args.target_ber < 1:
         raise ConfigError(f"target BER must be in (0, 1), got {args.target_ber:g}")
-    sets = _load_codebooks(paths)
+    sets = [import_codebook_set(p) for p in paths]
     snr_grid = _parse_snr_grid(cfg["analysis"]["snr_grid"])
     geom = _geometry(cfg)
     out = _out_dir(args)
@@ -401,7 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1, help="worker threads of the BER sweep (>= 1; no effect on design)"
+        )
         p.add_argument("--kappa", type=float, default=None, help="Rician factor (linear)")
         p.add_argument("--alpha", type=float, default=None, help="path-loss exponent")
         p.add_argument("--c1", type=float, default=None, help="altitude/cell-radius ratio")

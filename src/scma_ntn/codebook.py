@@ -140,13 +140,16 @@ def export_codebook_set(cbs: CodebookSet, path) -> None:
 def import_codebook_set(path) -> CodebookSet:
     """Read an interchange file back into a CodebookSet.
 
-    Dimension mismatches, a repeated dims record and codebook blocks that
-    are missing, repeated or hold other than M codewords are errors; a
-    total power off J*M by more than 1e-9 (relative) only warns, so
-    externally designed baselines load.
+    A file that is not text, dimension mismatches, a repeated dims record
+    and codebook blocks that are missing, repeated or hold other than M
+    codewords are errors; a total power off J*M by more than 1e-9
+    (relative) only warns, so externally designed baselines load.
     """
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path) as fh:
+            raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise CodebookFormatError(f"{path}: not a text file (undecodable byte at offset {exc.start})") from exc
     if not raw or not raw[0].startswith("format scma-codebook-set"):
         raise CodebookFormatError(f"{path}: not a codebook set file")
     dims = None

@@ -8,7 +8,6 @@ mutation minimizes it.  Runs are bit-reproducible for a given seed.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 
@@ -84,6 +83,8 @@ class GaConfig:
     mutation_rate: float = 0.15
     truncation: int | None = 3
     seed: int = 0
+    # Accepted and validated, but changes neither results nor speed: every
+    # generation is scored by one call on the calling thread.
     workers: int = 1
 
     def __post_init__(self):
@@ -170,26 +171,25 @@ def fitness(cand: Candidate, cfg: GaConfig, space: DesignSpace) -> float:
 
     Out-of-bounds or structurally infeasible candidates score +inf.
     """
-    dims = space.dims
-    lo, hi = space.lower(), space.upper()
-    vec = cand.as_vector()
-    if cand.delta <= 1.0 or np.any(vec < lo - 1e-12) or np.any(vec > hi + 1e-12):
-        return float("inf")
-    try:
-        cbs = candidate_codebooks(cand, space)
-    except (LayeringError, ValueError):
-        return float("inf")
-    n0 = snr_db_to_n0(cfg.design_snr_db, dims)
-    return set_bep(cbs, cfg.geometry, cfg.kappa, n0, truncation=cfg.truncation).worst
+    return _evaluate([cand], cfg, space)[0].fitness
 
 
 def _evaluate(population, cfg: GaConfig, space: DesignSpace):
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            scores = list(pool.map(lambda c: fitness(c, cfg, space), population))
-    else:
-        scores = [fitness(c, cfg, space) for c in population]
-    return [replace(c, fitness=s) for c, s in zip(population, scores)]
+    """The candidates with their fitness set, every feasible one's bound from one set_bep call."""
+    lo, hi = space.lower(), space.upper()
+    sets = {}
+    for i, cand in enumerate(population):
+        vec = cand.as_vector()
+        if cand.delta <= 1.0 or np.any(vec < lo - 1e-12) or np.any(vec > hi + 1e-12):
+            continue
+        try:
+            sets[i] = candidate_codebooks(cand, space)
+        except (LayeringError, ValueError):
+            continue
+    n0 = snr_db_to_n0(cfg.design_snr_db, space.dims)
+    bounds = set_bep(list(sets.values()), cfg.geometry, cfg.kappa, n0, truncation=cfg.truncation)
+    worst = {i: b.worst for i, b in zip(sets, bounds)}
+    return [replace(c, fitness=worst.get(i, float("inf"))) for i, c in enumerate(population)]
 
 
 def run_ga(space: DesignSpace, cfg: GaConfig, initial=None) -> GaResult:

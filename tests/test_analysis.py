@@ -10,10 +10,13 @@ from scipy.special import erfc
 
 import scma_ntn.analysis as analysis_mod
 from scma_ntn import (
+    Candidate,
     CellGeometry,
     CodebookSet,
+    DesignSpace,
     ErrorEvent,
     SystemDims,
+    candidate_codebooks,
     expected_distance_ratio,
     pep,
     q_approx,
@@ -368,7 +371,7 @@ def assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, target
     n0 = snr_db_to_n0(snr_db, cbs.dims)
     gammas = gains_of(cbs, mode)
     targets = range(cbs.dims.j_users) if targets is None else targets
-    got = _truncated_user_bep(cbs, list(targets), gammas[list(targets)], kappa, n0, e_star)
+    got = _truncated_user_bep([cbs], list(targets), gammas[list(targets)], kappa, n0, e_star)[0]
     want = np.array([enumerate_user_bep(cbs, t, gammas[t], kappa, n0, e_star) for t in targets])
     assert np.array_equal(got, want), (e_star, mode, got, want)
 
@@ -403,6 +406,72 @@ def test_truncated_kernel_sums_rows_in_chunks():
     cbs = make_codebook_set(1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3), SystemDims(4, 6, 8, 2))
     assert 56**3 > analysis_mod._CHUNK
     assert_truncated_equals_enumeration(cbs, 10.0, 12.0, "mean", 3, targets=[2])
+
+
+def random_generation(dims, size, seed):
+    """Codebook sets of random GA candidates, drawn as run_ga draws its first population."""
+    space = DesignSpace(dims=dims)
+    lo, hi = space.lower(), space.upper()
+    lo[0] = np.nextafter(1.0, 2.0)
+    vectors = np.random.default_rng(seed).uniform(lo, hi, size=(size, space.dimension))
+    return [candidate_codebooks(Candidate.from_vector(v, space.n_operators), space) for v in vectors]
+
+
+def assert_batch_equals_one_call_per_set_and_enumeration(sets, e_star, oracle_gains=("mean", 0, -1)):
+    """One set_bep call on sets equals a call per set, in mean and quadrature mode, bit for bit;
+    one batched kernel call equals the enumeration for one target per set, at the mean-mode
+    gain and at quadrature nodes given by index."""
+    dims = sets[0].dims
+    n0 = snr_db_to_n0(12.0, dims)
+    for mode in ("mean", "quadrature"):
+        batch = set_bep(sets, CellGeometry(), 10.0, n0, truncation=e_star, distance_mode=mode)
+        for cbs, got in zip(sets, batch):
+            alone = set_bep(cbs, CellGeometry(), 10.0, n0, truncation=e_star, distance_mode=mode)
+            assert np.array_equal(got.per_user, alone.per_user), (e_star, mode)
+    mean, quadrature = gains_of(sets[0], "mean"), gains_of(sets[0], "quadrature")
+    gammas = np.column_stack([mean[:, 0] if g == "mean" else quadrature[:, g] for g in oracle_gains])
+    targets = [s % dims.j_users for s in range(len(sets))]
+    got = _truncated_user_bep(sets, targets, gammas[targets], 10.0, n0, e_star)
+    for s, (cbs, t) in enumerate(zip(sets, targets)):
+        want = enumerate_user_bep(cbs, t, gammas[t], 10.0, n0, e_star)
+        assert np.array_equal(got[s, s], want), (e_star, s, got[s, s], want)
+
+
+def test_truncated_generation_on_4x6_equals_one_call_per_set_and_enumeration(dims46):
+    sets = random_generation(dims46, 2, seed=21)
+    for e_star in range(1, dims46.j_users):
+        # Above E* = 3 the enumeration takes most of a second per gain, so it runs at the mean gain only.
+        oracle_gains = ("mean", 0, -1) if e_star <= 3 else ("mean",)
+        assert_batch_equals_one_call_per_set_and_enumeration(sets, e_star, oracle_gains)
+
+
+def test_truncated_generation_on_5x10_equals_one_call_per_set_and_enumeration():
+    sets = random_generation(SystemDims(5, 10, 4, 2), 3, seed=22)
+    for e_star in (1, 2, 3):
+        assert_batch_equals_one_call_per_set_and_enumeration(sets, e_star)
+
+
+def test_truncated_batch_with_mixed_partitions(ref_cbs):
+    # Zeroing user 2's codebook takes it off its RNs and changes the pair
+    # classes, so the batch runs as two groups whose results return in order.
+    books = ref_cbs.codebooks.copy()
+    books[2] = 0.0
+    zeroed = CodebookSet.from_codebooks(books, ref_cbs.dims)
+    other = make_codebook_set(2.5, (0.2, 0.5, 0.9), (0.3, 1.2, 2.5))
+    assert class_counts(ref_cbs) == class_counts(other) == [8] * 6 and class_counts(zeroed)[2] == 1
+    assert ref_cbs.collision_sets() == other.collision_sets() != zeroed.collision_sets()
+    assert_batch_equals_one_call_per_set_and_enumeration([ref_cbs, zeroed, other], 3)
+
+
+def test_truncated_batch_in_chunks_equals_one_chunk(monkeypatch):
+    sets = random_generation(SystemDims(4, 6, 4, 2), 5, seed=23)
+    gammas = gains_of(sets[0], "mean")
+    n0 = snr_db_to_n0(12.0, sets[0].dims)
+    whole = _truncated_user_bep(sets, list(range(6)), gammas, 10.0, n0, 3)
+    # One set per chunk, then chunks of a few sets and a shorter last one.
+    for limit in (1, 5 * 10**4, 7 * 10**4):
+        monkeypatch.setattr(analysis_mod, "_STACK_ELEMENTS", limit)
+        assert np.array_equal(_truncated_user_bep(sets, list(range(6)), gammas, 10.0, n0, 3), whole), limit
 
 
 def test_truncated_bounds_climb_to_the_exact_bound(ref_cbs, geom):
@@ -498,6 +567,9 @@ def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
         set_bep(big, geom, 10.0, 0.1, truncation=0)
     with pytest.raises(ValueError, match="unknown distance_mode"):
         set_bep(big, geom, 10.0, 0.1, distance_mode="nope")
+    with pytest.raises(ValueError, match="share dims"):
+        set_bep([ref_cbs, big], geom, 10.0, 0.1, truncation=1)
+    assert set_bep([], geom, 10.0, 0.1) == []
 
 
 def test_set_bep_summary(reduced_cbs, geom):

@@ -194,6 +194,17 @@ def test_codebook_missing_a_codeword_exit_code(tmp_path, codebook_file, capsys):
     assert main(["analyze", "--codebook", str(path), "--out", str(tmp_path / "out")]) == EXIT_CODEBOOK
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "codebook 6 has 3 codewords" in err
+    assert err.count("short.txt") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_binary_codebook_exit_code(command, tmp_path, capsys):
+    path = tmp_path / "codebook.bin"
+    path.write_bytes(b"format scma-codebook-set 1\n\xff\xfe\x00\x9c")
+    assert main([command, "--codebook", str(path), "--out", str(tmp_path / "out")]) == EXIT_CODEBOOK
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "not a text file" in err
+    assert err.count("codebook.bin") == 1
 
 
 def test_infeasible_dims_exit_code(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scma_ntn import optimizer
 from scma_ntn import (
     Candidate,
     CellGeometry,
@@ -124,12 +125,26 @@ def test_ga_history_non_increasing(space):
     assert len(result.history) == cfg.generations
 
 
-def test_ga_parallel_fitness_matches_serial(space):
-    cfg1 = GaConfig(seed=4, workers=1, **SMALL_GA)
-    cfg2 = GaConfig(seed=4, workers=2, **SMALL_GA)
-    r1 = run_ga(space, cfg1)
-    r2 = run_ga(space, cfg2)
+def test_ga_workers_change_nothing(space):
+    r1 = run_ga(space, GaConfig(seed=4, workers=1, **SMALL_GA))
+    r2 = run_ga(space, GaConfig(seed=4, workers=2, **SMALL_GA))
     assert r1.best == r2.best
+    assert np.array_equal(r1.history, r2.history)
+
+
+def test_generation_scores_equal_one_fitness_call_each(space):
+    # One set_bep call scores the feasible candidates of a generation; the
+    # out-of-box ones among them keep +inf.
+    cfg = GaConfig(design_snr_db=12.0, kappa=10.0, truncation=3)
+    lo, hi = space.lower(), space.upper()
+    lo[0] = 1.01
+    vectors = np.random.default_rng(11).uniform(lo, hi, size=(6, space.dimension))
+    population = [Candidate.from_vector(v, space.n_operators) for v in vectors]
+    population.insert(1, Candidate(delta=0.9, rhos=(0.5, 0.6, 0.7), thetas=(0, 0, 0)))
+    population.insert(5, Candidate(delta=2.0, rhos=(0.5, 0.6, 1.2), thetas=(0, 0, 0)))
+    scores = [c.fitness for c in optimizer._evaluate(population, cfg, space)]
+    assert np.array_equal(scores, [fitness(c, cfg, space) for c in population])
+    assert [np.isinf(x) for x in scores] == [i in (1, 5) for i in range(8)]
 
 
 def test_history_csv(tmp_path, space):
