@@ -27,7 +27,6 @@ the codebook set carries total power J*M over M codeword uses and K RNs,
 so per-RN signal power is J/K and N0 = (J/K) * 10^(-snr_db/10).
 """
 
-import csv
 import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -450,6 +449,8 @@ def _user_beps(
     e_star = j_users if truncation is None else int(truncation)
     if e_star < 1:
         raise ValueError("truncation must be >= 1")
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     gains = [_distance_gains(j_rank, j_users, geom, distance_mode, c2) for j_rank in ranks]
     gammas = np.array([g for g, _ in gains])
     targets = [j_rank - 1 for j_rank in ranks]
@@ -512,12 +513,19 @@ def set_bep(
     return summaries[0] if isinstance(cbs, CodebookSet) else summaries
 
 
+def _bep_csv_rows(snr_db_grid, per_user_matrix, prefix: str = "") -> str:
+    """The CSV rows under snr_db,user_rank,bep, one per (SNR point, user rank), each led by prefix.
+
+    Rows end in CRLF, the csv module's line end, which bep.csv files have always had.
+    """
+    return "".join(
+        f"{prefix}{snr},{j + 1},{bep:.12g}\r\n"
+        for snr, row in zip(snr_db_grid, np.asarray(per_user_matrix), strict=True)
+        for j, bep in enumerate(row)
+    )
+
+
 def write_bep_csv(path, snr_db_grid, per_user_matrix) -> None:
     """Per-user BEP table as CSV with columns snr_db, user_rank, bep."""
-    per_user_matrix = np.asarray(per_user_matrix)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "user_rank", "bep"])
-        for si, snr in enumerate(snr_db_grid):
-            for j in range(per_user_matrix.shape[1]):
-                writer.writerow([snr, j + 1, format(per_user_matrix[si, j], ".12g")])
+        fh.write("snr_db,user_rank,bep\r\n" + _bep_csv_rows(snr_db_grid, per_user_matrix))

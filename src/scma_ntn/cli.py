@@ -2,8 +2,11 @@
 
 Settings come from an INI-style config file with one section per module
 ([system], [link], [analysis], [simulate], [design]); command-line flags
-override file values.  Every artifact-producing run writes a JSON manifest
-echoing the merged configuration and seed, sufficient for replay.
+override file values.  A flag is named after its config key and sets that
+key in every section that has it.  Flag and file values go through the same
+parser, and the library types they land in check them.  Every
+artifact-producing run writes a JSON manifest echoing the merged
+configuration and seed, sufficient for replay.
 """
 
 import argparse
@@ -18,16 +21,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import set_bep, snr_db_to_n0, write_bep_csv
+from .analysis import _bep_csv_rows, set_bep, snr_db_to_n0, write_bep_csv
 from .codebook import CodebookFormatError, export_codebook_set, import_codebook_set
 from .geometry import CellGeometry
-from .layering import (
-    ConstellationOperator,
-    LayeringError,
-    SystemDims,
-    assign_layers_and_power,
-    validate_signature,
-)
+from .layering import ConstellationOperator, SystemDims, assign_layers_and_power, validate_signature
 from .optimizer import DesignSpace, GaConfig, run_ga
 from .simulator import BerResult, SimConfig, run_ber_sweep
 
@@ -39,7 +36,7 @@ EXIT_CODEBOOK = 4
 _DEFAULTS = {
     "system": {"k_resources": 4, "j_users": 6, "m_order": 4, "n_nonzero": 2},
     "link": {"kappa": 10.0, "alpha": 3.0, "c1": 1.0},
-    "analysis": {"snr_grid": "0,3,6,9,12,15,18", "truncation": 3, "exact_bep": False},
+    "analysis": {"snr_grid": "0,3,6,9,12,15,18", "truncation": 3},
     "simulate": {
         "snr_grid": "0,4,8,12,16",
         "max_symbols": 200000,
@@ -61,119 +58,71 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path) -> dict:
-    merged = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
-    if path is None:
-        return merged
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    for sec in parser.sections():
-        if sec not in merged:
-            raise ConfigError(f"unknown config section [{sec}]")
-        for key, val in parser[sec].items():
-            if key not in merged[sec]:
-                raise ConfigError(f"unknown config key [{sec}] {key}")
-            merged[sec][key] = val
-    return merged
-
-
-def _parse_snr_grid(text) -> tuple:
-    try:
-        grid = tuple(float(t) for t in str(text).replace(" ", "").split(",") if t)
-    except ValueError as exc:
-        raise ConfigError(f"bad SNR grid {text!r}") from exc
+def _snr_grid(text) -> tuple:
+    grid = tuple(float(t) for t in str(text).replace(" ", "").split(",") if t)
     if not grid:
-        raise ConfigError("empty SNR grid")
+        raise ValueError("no values")
     if not np.all(np.isfinite(grid)):
-        raise ConfigError(f"SNR grid {text!r} has a non-finite value")
+        raise ValueError(f"non-finite value in {text!r}")
     return grid
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    link = cfg["link"]
-    if args.kappa is not None:
-        link["kappa"] = args.kappa
-    if args.alpha is not None:
-        link["alpha"] = args.alpha
-    if args.c1 is not None:
-        link["c1"] = args.c1
-    if getattr(args, "snr_grid", None) is not None:
-        cfg["analysis"]["snr_grid"] = args.snr_grid
-        cfg["simulate"]["snr_grid"] = args.snr_grid
-    if getattr(args, "truncation", None) is not None:
-        cfg["analysis"]["truncation"] = args.truncation
-        cfg["design"]["truncation"] = args.truncation
-    if getattr(args, "exact_bep", False):
-        cfg["analysis"]["exact_bep"] = True
-    if getattr(args, "detector", None) is not None:
-        cfg["simulate"]["detector"] = args.detector
-    if getattr(args, "iterations", None) is not None:
-        cfg["simulate"]["iterations"] = args.iterations
-    for key in ("k_resources", "j_users", "m_order", "n_nonzero"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg["system"][key] = val
-    for key in ("population", "generations", "design_snr_db"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg["design"][key] = val
-    return cfg
+def _truncation(text):
+    """E* as an int, or None (exact) for 'none'."""
+    return None if str(text).strip().lower() == "none" else int(text)
 
 
-def _dims(cfg) -> SystemDims:
-    sysc = cfg["system"]
-    try:
-        return SystemDims(
-            k_resources=int(sysc["k_resources"]),
-            j_users=int(sysc["j_users"]),
-            m_order=int(sysc["m_order"]),
-            n_nonzero=int(sysc["n_nonzero"]),
-        )
-    except (ValueError, LayeringError) as exc:
-        raise ConfigError(str(exc)) from exc
+# Each config key's parser, for file and flag text alike, and its flag's help.
+_KEYS = {
+    "k_resources": (int, None),
+    "j_users": (int, None),
+    "m_order": (int, None),
+    "n_nonzero": (int, None),
+    "kappa": (float, "Rician factor (linear)"),
+    "alpha": (float, "path-loss exponent"),
+    "c1": (float, "altitude/cell-radius ratio"),
+    "snr_grid": (_snr_grid, "comma-separated dB values"),
+    "truncation": (_truncation, "max users in error (E*), or none for exact"),
+    "max_symbols": (int, None),
+    "target_errors": (int, None),
+    "detector": (str, "mpa or ml"),
+    "iterations": (int, None),
+    "batch_size": (int, None),
+    "population": (int, None),
+    "generations": (int, None),
+    "design_snr_db": (float, None),
+}
+
+
+def _load_config(path, args) -> dict:
+    """The defaults, overridden by the file at path (if any), then by the flags in args."""
+    merged = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
+    if path is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:  # its message names the file, over several lines
+            raise ConfigError(" ".join(str(exc).split())) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a text file (undecodable byte at offset {exc.start})") from exc
+        if not read:
+            raise ConfigError(f"cannot read config file {path}")
+        for sec in parser.sections():
+            if sec not in merged:
+                raise ConfigError(f"unknown config section [{sec}]")
+            for key, val in parser[sec].items():
+                if key not in merged[sec]:
+                    raise ConfigError(f"unknown config key [{sec}] {key}")
+                merged[sec][key] = val
+    for vals in merged.values():
+        for key in vals:
+            if getattr(args, key, None) is not None:
+                vals[key] = getattr(args, key)
+    return merged
 
 
 def _geometry(cfg) -> CellGeometry:
-    link = cfg["link"]
-    try:
-        return CellGeometry(radius_ratio_c1=float(link["c1"]), pathloss_alpha=float(link["alpha"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _kappa(cfg) -> float:
-    try:
-        kappa = float(cfg["link"]["kappa"])
-    except ValueError as exc:
-        raise ConfigError(f"bad kappa {cfg['link']['kappa']!r}") from exc
-    if not (np.isfinite(kappa) and kappa >= 0):
-        raise ConfigError(f"kappa must be finite and >= 0, got {kappa:g}")
-    return kappa
-
-
-def _truncation(value):
-    """E* as int, or None (exact) for 'none'; must be >= 1."""
-    if str(value).strip().lower() == "none":
-        return None
-    try:
-        e_star = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad truncation {value!r}") from exc
-    if e_star < 1:
-        raise ConfigError(f"truncation must be >= 1 or none, got {e_star}")
-    return e_star
-
-
-def _bool(v) -> bool:
-    """A flag's True or one of configparser's words 1/0, true/false, yes/no, on/off."""
-    if isinstance(v, bool):
-        return v
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[str(v).strip().lower()]
-    except KeyError:
-        raise ConfigError(f"bad boolean {v!r}: use 1/0, true/false, yes/no or on/off") from None
+    return CellGeometry(radius_ratio_c1=cfg["link"]["c1"], pathloss_alpha=cfg["link"]["alpha"])
 
 
 def _out_dir(args) -> Path:
@@ -209,7 +158,7 @@ def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
 
 
 def _cmd_assign(args, cfg) -> int:
-    dims = _dims(cfg)
+    dims = SystemDims(**cfg["system"])
     rhos = np.linspace(0.5, 1.0, dims.df_collisions)
     ops = tuple(ConstellationOperator(rho=float(r), theta=0.0) for r in rhos)
     sig = assign_layers_and_power(ops, dims)
@@ -227,22 +176,18 @@ def _cmd_assign(args, cfg) -> int:
 
 
 def _cmd_design(args, cfg) -> int:
-    dims = _dims(cfg)
     design = cfg["design"]
-    try:
-        ga_cfg = GaConfig(
-            population=int(design["population"]),
-            generations=int(design["generations"]),
-            design_snr_db=float(design["design_snr_db"]),
-            kappa=_kappa(cfg),
-            geometry=_geometry(cfg),
-            truncation=_truncation(design["truncation"]),
-            seed=args.seed,
-            workers=args.threads,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    result = run_ga(DesignSpace(dims=dims), ga_cfg)
+    ga_cfg = GaConfig(
+        population=design["population"],
+        generations=design["generations"],
+        design_snr_db=design["design_snr_db"],
+        kappa=cfg["link"]["kappa"],
+        geometry=_geometry(cfg),
+        truncation=design["truncation"],
+        seed=args.seed,
+        workers=args.threads,
+    )
+    result = run_ga(DesignSpace(dims=SystemDims(**cfg["system"])), ga_cfg)
     out = _out_dir(args)
     cb_path = out / "designed_codebook.txt"
     hist_path = out / "design_history.csv"
@@ -257,54 +202,46 @@ def _cmd_design(args, cfg) -> int:
     return EXIT_OK
 
 
-def _analyze_one(cbs, cfg, snr_grid, geom):
-    kappa = _kappa(cfg)
-    trunc = None if _bool(cfg["analysis"]["exact_bep"]) else _truncation(cfg["analysis"]["truncation"])
+def _analyze_one(cbs, cfg):
+    """Per-user BEP bounds (SNR point, user rank) over the [analysis] grid."""
+    geom, kappa, trunc = _geometry(cfg), cfg["link"]["kappa"], cfg["analysis"]["truncation"]
     rows = []
-    for snr in snr_grid:
+    for snr in cfg["analysis"]["snr_grid"]:
         n0 = snr_db_to_n0(snr, cbs.dims)
-        try:
-            rows.append(set_bep(cbs, geom, kappa, n0, truncation=trunc).per_user)
-        except ValueError as exc:  # e.g. an exact bound too large for the graph
-            raise ConfigError(str(exc)) from exc
+        rows.append(set_bep(cbs, geom, kappa, n0, truncation=trunc).per_user)
     return np.array(rows)
 
 
 def _cmd_analyze(args, cfg) -> int:
     cbs = import_codebook_set(args.codebook)
-    snr_grid = _parse_snr_grid(cfg["analysis"]["snr_grid"])
-    table = _analyze_one(cbs, cfg, snr_grid, _geometry(cfg))
+    table = _analyze_one(cbs, cfg)
     out = _out_dir(args)
     path = out / "bep.csv"
-    write_bep_csv(path, snr_grid, table)
+    write_bep_csv(path, cfg["analysis"]["snr_grid"], table)
     _manifest(out, "analyze", args, cfg, [path])
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _sim_config(args, cfg, snr_grid) -> SimConfig:
+def _sim_config(args, cfg) -> SimConfig:
     sim = cfg["simulate"]
-    try:
-        return SimConfig(
-            kappa=_kappa(cfg),
-            geometry=_geometry(cfg),
-            snr_grid_db=snr_grid,
-            max_symbols=int(sim["max_symbols"]),
-            target_errors=int(sim["target_errors"]),
-            detector=str(sim["detector"]),
-            iterations=int(sim["iterations"]),
-            seed=args.seed,
-            batch_size=int(sim["batch_size"]),
-            threads=args.threads,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SimConfig(
+        kappa=cfg["link"]["kappa"],
+        geometry=_geometry(cfg),
+        snr_grid_db=sim["snr_grid"],
+        max_symbols=sim["max_symbols"],
+        target_errors=sim["target_errors"],
+        detector=sim["detector"],
+        iterations=sim["iterations"],
+        seed=args.seed,
+        batch_size=sim["batch_size"],
+        threads=args.threads,
+    )
 
 
 def _cmd_simulate(args, cfg) -> int:
     cbs = import_codebook_set(args.codebook)
-    snr_grid = _parse_snr_grid(cfg["simulate"]["snr_grid"])
-    sim_cfg = _sim_config(args, cfg, snr_grid)
+    sim_cfg = _sim_config(args, cfg)
     result = run_ber_sweep(sim_cfg, cbs)
     out = _out_dir(args)
     path = out / "ber.csv"
@@ -334,23 +271,20 @@ def _cmd_compare(args, cfg) -> int:
     if not 0 < args.target_ber < 1:
         raise ConfigError(f"target BER must be in (0, 1), got {args.target_ber:g}")
     sets = [import_codebook_set(p) for p in paths]
-    snr_grid = _parse_snr_grid(cfg["analysis"]["snr_grid"])
-    geom = _geometry(cfg)
+    snr_grid = cfg["analysis"]["snr_grid"]
     out = _out_dir(args)
     outputs = []
     worst_curves = {}
     csv_path = out / "compare_bep.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("codebook,snr_db,user_rank,bep\n")
+    with open(csv_path, "w", newline="") as fh:
+        fh.write("codebook,snr_db,user_rank,bep\r\n")
         for p, cbs in zip(paths, sets):
-            table = _analyze_one(cbs, cfg, snr_grid, geom)
+            table = _analyze_one(cbs, cfg)
             worst_curves[p] = table.max(axis=1)
-            for si, snr in enumerate(snr_grid):
-                for j in range(table.shape[1]):
-                    fh.write(f"{Path(p).name},{snr},{j + 1},{table[si, j]:.12g}\n")
+            fh.write(_bep_csv_rows(snr_grid, table, prefix=f"{Path(p).name},"))
     outputs.append(csv_path)
     if args.run_simulation:
-        sim_cfg = _sim_config(args, cfg, _parse_snr_grid(cfg["simulate"]["snr_grid"]))
+        sim_cfg = _sim_config(args, cfg)
         ber_path = out / "compare_ber.csv"
         with open(ber_path, "w") as fh:
             fh.write("codebook," + BerResult.CSV_HEADER)
@@ -360,7 +294,7 @@ def _cmd_compare(args, cfg) -> int:
                 fh.write(res.csv_rows(prefix=f"{Path(p).name},"))
         outputs.append(ber_path)
     ref = paths[0]
-    grid = _parse_snr_grid(cfg["simulate"]["snr_grid"]) if args.run_simulation else snr_grid
+    grid = cfg["simulate"]["snr_grid"] if args.run_simulation else snr_grid
     ref_snr = _snr_at_ber(grid, worst_curves[ref], args.target_ber)
     gains = {}
     for p in paths[1:]:
@@ -379,6 +313,27 @@ def _cmd_compare(args, cfg) -> int:
     return EXIT_OK
 
 
+_SYSTEM_KEYS = ("k_resources", "j_users", "m_order", "n_nonzero")
+
+# Each subcommand: what runs it, its help, and the config keys it takes as
+# flags besides the [link] keys, which every subcommand takes.
+_COMMANDS = {
+    "assign": (_cmd_assign, "print and validate the signature matrix for dims", _SYSTEM_KEYS),
+    "design": (
+        _cmd_design,
+        "run the GA and export the designed codebook",
+        _SYSTEM_KEYS + ("population", "generations", "design_snr_db", "truncation"),
+    ),
+    "analyze": (_cmd_analyze, "analytical per-user BEP table for a codebook file", ("snr_grid", "truncation")),
+    "simulate": (_cmd_simulate, "Monte Carlo BER sweep for a codebook file", ("snr_grid", "detector", "iterations")),
+    "compare": (
+        _cmd_compare,
+        "analyze (and optionally simulate) several codebooks",
+        ("snr_grid", "truncation", "detector", "iterations"),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scma-ntn",
@@ -386,86 +341,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, codebook=False, many=False):
+    for command, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
         p.add_argument(
             "--threads", type=int, default=1, help="worker threads of the BER sweep (>= 1; no effect on design)"
         )
-        p.add_argument("--kappa", type=float, default=None, help="Rician factor (linear)")
-        p.add_argument("--alpha", type=float, default=None, help="path-loss exponent")
-        p.add_argument("--c1", type=float, default=None, help="altitude/cell-radius ratio")
-        if codebook:
-            p.add_argument(
-                "--codebook",
-                required=True,
-                action="append" if many else "store",
-                help="codebook interchange file" + (" (repeat for several)" if many else ""),
-            )
-
-    p_assign = sub.add_parser("assign", help="print and validate the signature matrix for dims")
-    common(p_assign)
-    for key in ("k_resources", "j_users", "m_order", "n_nonzero"):
-        p_assign.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
-
-    p_design = sub.add_parser("design", help="run the GA and export the designed codebook")
-    common(p_design)
-    for key in ("k_resources", "j_users", "m_order", "n_nonzero"):
-        p_design.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
-    p_design.add_argument("--population", type=int, default=None)
-    p_design.add_argument("--generations", type=int, default=None)
-    p_design.add_argument("--design-snr-db", dest="design_snr_db", type=float, default=None)
-    p_design.add_argument("--truncation", default=None, help="max users in error (E*), or none for exact")
-
-    p_analyze = sub.add_parser("analyze", help="analytical per-user BEP table for a codebook file")
-    common(p_analyze, codebook=True)
-    p_analyze.add_argument("--snr-grid", dest="snr_grid", default=None, help="comma-separated dB values")
-    p_analyze.add_argument("--truncation", default=None, help="max users in error (E*), or none for exact")
-    p_analyze.add_argument("--exact-bep", dest="exact_bep", action="store_true")
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo BER sweep for a codebook file")
-    common(p_sim, codebook=True)
-    p_sim.add_argument("--snr-grid", dest="snr_grid", default=None)
-    p_sim.add_argument("--detector", choices=("mpa", "ml"), default=None)
-    p_sim.add_argument("--iterations", type=int, default=None)
-
-    p_cmp = sub.add_parser("compare", help="analyze (and optionally simulate) several codebooks")
-    common(p_cmp, codebook=True, many=True)
-    p_cmp.add_argument("--snr-grid", dest="snr_grid", default=None)
-    p_cmp.add_argument("--truncation", default=None, help="max users in error (E*), or none for exact")
-    p_cmp.add_argument("--exact-bep", dest="exact_bep", action="store_true")
+        if command in ("analyze", "simulate"):
+            p.add_argument("--codebook", required=True, help="codebook interchange file")
+        for key in tuple(_DEFAULTS["link"]) + keys:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=_KEYS[key][1])
+    p_cmp = sub.choices["compare"]
+    p_cmp.add_argument(
+        "--codebook", required=True, action="append", help="codebook interchange file (repeat for several)"
+    )
     p_cmp.add_argument("--run-simulation", action="store_true")
-    p_cmp.add_argument("--detector", choices=("mpa", "ml"), default=None)
-    p_cmp.add_argument("--iterations", type=int, default=None)
     p_cmp.add_argument("--target-ber", dest="target_ber", type=float, default=1e-4)
     return parser
 
 
-_COMMANDS = {
-    "assign": _cmd_assign,
-    "design": _cmd_design,
-    "analyze": _cmd_analyze,
-    "simulate": _cmd_simulate,
-    "compare": _cmd_compare,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    setting = ""  # the [section] key being parsed, named in its parse error
     try:
-        cfg = _apply_overrides(_load_config(args.config), args)
-        return _COMMANDS[args.command](args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        cfg = _load_config(args.config, args)
+        for sec, vals in cfg.items():
+            for key, text in vals.items():
+                setting = f"[{sec}] {key}: "
+                vals[key] = _KEYS[key][0](text)
+        setting = ""
+        return _COMMANDS[args.command][0](args, cfg)
     except (CodebookFormatError, OSError) as exc:
         print(f"codebook file error: {exc}", file=sys.stderr)
         return EXIT_CODEBOOK
-    except LayeringError as exc:
-        print(f"layering error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"config error: {setting}{exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

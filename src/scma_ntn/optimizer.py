@@ -96,6 +96,8 @@ class GaConfig:
             raise ValueError("elitism must be in [0, population)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         for name in ("crossover_rate", "mutation_rate"):

@@ -47,6 +47,8 @@ class SimConfig:
             raise ValueError("threads must be >= 1")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not np.all(np.isfinite(self.snr_grid_db)):
@@ -155,42 +157,35 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
     all_errors = np.zeros((snr_grid.size, j_users), dtype=np.int64)
     all_bits = np.zeros((snr_grid.size, j_users), dtype=np.int64)
 
-    for si, snr in enumerate(snr_grid):
-        n0 = snr_db_to_n0(snr, dims)
-        symbols = 0
-        errors = np.zeros(j_users, dtype=np.int64)
-        batch_counter = 0
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        for si, snr in enumerate(snr_grid):
+            n0 = snr_db_to_n0(snr, dims)
+            symbols = 0
+            errors = np.zeros(j_users, dtype=np.int64)
+            batch_counter = 0
 
-        def stop() -> bool:
-            return symbols >= cfg.max_symbols or errors.min() >= cfg.target_errors
+            def stop() -> bool:
+                return symbols >= cfg.max_symbols or errors.min() >= cfg.target_errors
 
-        while not stop():
-            wave = []
-            budget = cfg.max_symbols - symbols
-            for _ in range(cfg.threads):
-                size = min(cfg.batch_size, budget)
-                if size <= 0:
-                    break
-                budget -= size
-                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, si, batch_counter)))
-                wave.append((size, rng))
-                batch_counter += 1
-            if not wave:
-                break
-            if len(wave) == 1:
-                results = [_run_batch(cfg, cbs, detect, n0, wave[0][0], wave[0][1])]
-            else:
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    results = list(
-                        pool.map(lambda w: _run_batch(cfg, cbs, detect, n0, w[0], w[1]), wave)
-                    )
-            # Fold strictly in batch order and re-check the stopping rule per
-            # batch, so the outcome does not depend on the worker count.
-            for (size, _), res in zip(wave, results):
-                errors += res
-                symbols += size
-                if stop():
-                    break
-        all_errors[si] = errors
-        all_bits[si] = symbols * bits_per
+            while not stop():
+                wave = []
+                budget = cfg.max_symbols - symbols
+                for _ in range(cfg.threads):
+                    size = min(cfg.batch_size, budget)
+                    if size <= 0:
+                        break
+                    budget -= size
+                    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, si, batch_counter)))
+                    wave.append((size, rng))
+                    batch_counter += 1
+                results = list(pool.map(lambda w: _run_batch(cfg, cbs, detect, n0, *w), wave))
+                # Fold strictly in batch order and re-check the stopping rule per
+                # batch, so the outcome does not depend on the worker count.
+                for (size, _), res in zip(wave, results):
+                    errors += res
+                    symbols += size
+                    if stop():
+                        break
+            all_errors[si] = errors
+            all_bits[si] = symbols * bits_per
     return BerResult(snr_db=snr_grid, errors=all_errors, bits=all_bits)

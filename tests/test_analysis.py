@@ -560,6 +560,9 @@ def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
         user_bep(1, ref_cbs, geom, 10.0, 0.1, truncation=0)
     with pytest.raises(ValueError):
         user_bep(1, ref_cbs, geom, 10.0, 0.1, distance_mode="nope")
+    for kappa in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            user_bep(1, ref_cbs, geom, kappa, 0.1)
     # set_bep checks its arguments before choosing a bound: on a graph too
     # large for the exact bound, the argument errors come first.
     big = make_oversized_set()

@@ -32,8 +32,14 @@ BAD_VALUES = {
     "analyze-nan-snr": (["analyze", "--snr-grid", "nan,3"], None),
     "analyze-nan-c1": (["analyze", "--c1", "nan"], None),
     "compare-target-ber-0": (["compare", "--target-ber", "0"], None),
-    "analyze-exact-6x20": (["analyze", "--exact-bep", "--codebook", BIG], None),
-    "compare-exact-6x20": (["compare", "--exact-bep", "--codebook", BIG, "--codebook", BIG], None),
+    "analyze-exact-6x20": (["analyze", "--truncation", "none", "--codebook", BIG], None),
+    "compare-exact-6x20": (["compare", "--truncation", "none", "--codebook", BIG, "--codebook", BIG], None),
+    "design-negative-seed": (["design", "--seed", "-1"], None),
+    "simulate-negative-seed": (["simulate", "--seed", "-1"], None),
+    "config-no-section-header": (["analyze"], "truncation = 2\n"),
+    "config-duplicate-key": (["design"], "[design]\npopulation = 4\npopulation = 6\n"),
+    "config-duplicate-section": (["design"], "[design]\npopulation = 4\n[design]\ngenerations = 2\n"),
+    "config-percent-sign": (["analyze"], "[analysis]\nsnr_grid = 5%\n"),
 }
 
 
@@ -117,7 +123,7 @@ def test_analyze_and_simulate_share_keys(tmp_path, codebook_file, capsys):
     assert bep_keys == ber_keys
     assert len(bep_keys) == 12
     manifest = json.loads((out_s / "simulate_manifest.json").read_text())
-    assert manifest["config"]["simulate"]["max_symbols"] == "2000"
+    assert manifest["config"]["simulate"]["max_symbols"] == 2000
 
 
 def test_compare_reports_gain(tmp_path, codebook_file, second_codebook_file, capsys):
@@ -139,6 +145,14 @@ def test_compare_reports_gain(tmp_path, codebook_file, second_codebook_file, cap
     lines = (out / "compare_bep.csv").read_text().strip().splitlines()
     assert lines[0] == "codebook,snr_db,user_rank,bep"
     assert len(lines) == 1 + 2 * 4 * 6
+    # Each codebook's rows are the bytes analyze writes to bep.csv, led by its name.
+    want = b"codebook,snr_db,user_rank,bep\r\n"
+    for i, book in enumerate((codebook_file, second_codebook_file)):
+        argv = ["analyze", "--codebook", book, "--snr-grid", "8,14,20,26", "--out", str(tmp_path / str(i))]
+        assert main(argv) == 0
+        rows = (tmp_path / str(i) / "bep.csv").read_bytes().split(b"\r\n")[1:-1]
+        want += b"".join(os.path.basename(book).encode() + b"," + row + b"\r\n" for row in rows)
+    assert (out / "compare_bep.csv").read_bytes() == want
 
 
 def test_compare_ber_rows_are_simulate_rows_by_name(tmp_path, codebook_file, second_codebook_file, capsys):
@@ -173,6 +187,33 @@ def test_invalid_config_exit_code(tmp_path, capsys):
 
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["assign", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
+
+
+def test_binary_config_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[design]\npopulation = \xff\xfe\x00\x9c\n")
+    assert main(["assign", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
+    assert "bad.ini: not a text file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, section, value",
+    [("population", "design", "abc"), ("kappa", "link", "strong"), ("truncation", "analysis", "several")],
+)
+def test_bad_value_reads_the_same_from_flag_and_file(flag, section, value, tmp_path, codebook_file, capsys):
+    argv = ["design" if section == "design" else "analyze", "--out", str(tmp_path / "out")]
+    if argv[0] == "analyze":
+        argv += ["--codebook", codebook_file]
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{flag} = {value}\n")
+    assert main(argv + [f"--{flag}", value]) == EXIT_CONFIG
+    from_flag = capsys.readouterr().err
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+    from_file = capsys.readouterr().err
+    assert from_flag == from_file
+    assert from_flag.startswith(f"config error: [{section}] {flag}: ") and value in from_flag
 
 
 def test_unreadable_codebook_exit_code(tmp_path, capsys):
@@ -236,12 +277,12 @@ def test_truncation_none_is_exact(tmp_path, reduced_cbs, capsys):
     runs = {
         "none": ["--config", str(cfg)],
         "none-flag": ["--truncation", "none"],
-        "exact": ["--exact-bep"],
+        "e-star-j": ["--truncation", "3"],  # E* = J, the exact bound on this 3-user set
         "one": ["--truncation", "1"],
     }
     for name, extra in runs.items():
         assert main(common + extra + ["--out", str(tmp_path / name)]) == 0
     tables = {name: (tmp_path / name / "bep.csv").read_bytes() for name in runs}
-    assert tables["none"] == tables["exact"]
-    assert tables["none-flag"] == tables["exact"]
+    assert tables["none"] == tables["e-star-j"]
+    assert tables["none-flag"] == tables["e-star-j"]
     assert tables["none"] != tables["one"]

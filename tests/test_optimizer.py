@@ -167,6 +167,8 @@ def test_config_validation():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             GaConfig(workers=workers)
+    with pytest.raises(ValueError, match="seed"):
+        GaConfig(seed=-1)
     for kappa in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
             GaConfig(kappa=kappa)

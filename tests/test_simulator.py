@@ -174,6 +174,8 @@ def test_sim_config_validation():
         SimConfig(threads=0)
     with pytest.raises(ValueError):
         SimConfig(iterations=-1)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(seed=-1)
     for kappa in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
             SimConfig(kappa=kappa)
