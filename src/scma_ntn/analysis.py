@@ -268,20 +268,16 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
         cells = np.cumsum([0] + [prod(classes[u] for u in users) for _, users in keys])
 
         # Supports run by size, then in lexicographic order, which is each target's enumeration order.
-        # Each support's dots fill a slice of a row of terms; gather lists each target's terms in
-        # that order, padded with the row's last term, which stays 0.
-        plan, gather, n_terms, largest = [], [[] for _ in targets], 0, 0
-        prefix_rows = {(): 0}
+        plan, largest = [], 0
+        prefix_rows = {(): 0}  # each support's enumeration rows, as flat indices into its class tuples
         for size in range(1, e_star + 1):
             # The bit weights of the ordered-pair rows, by the target's place in the support.
             weights = np.array(
                 [np.repeat(np.tile(bits, bits.size**i), bits.size ** (size - 1 - i)) for i in range(size)]
             )
             for support in combinations(range(j_users), size):
-                if size < e_star:
-                    prefix_rows[support] = np.add.outer(
-                        prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]
-                    ).ravel()
+                rows = np.add.outer(prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]).ravel()
+                prefix_rows[support] = rows
                 hit = [position[u] for u in support if u in position]
                 if not hit:
                     continue
@@ -292,15 +288,11 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
                     if users:
                         tail = tuple(classes[u] if u in users else 1 for u in support)
                         factors.append((k, users, (-1, 2, len(need)) + tail))
-                for i in hit:
-                    first = n_terms + support.index(targets[i]) * len(need)
-                    gather[i].append([first + need.index(g) for g in gain_of[i]])
+                place = [[support.index(targets[i])] for i in hit]  # each hit target's place in the support
+                at = [[need.index(g) for g in gain_of[i]] for i in hit]  # and its gains' indices in need
                 ones = np.ones((1, 2, len(need)) + (1,) * size)
-                plan.append((support, np.array(need), ones, factors, weights, n_terms, float(m) ** (j_users - size)))
-                n_terms += size * len(need)
+                plan.append((np.array(need), ones, factors, weights, rows, hit, place, at, float(m) ** (j_users - size)))
                 largest = max(largest, len(need) * (4 * prod(classes[u] for u in support) + weights.shape[1]))
-        pad = [n_terms] * gammas.shape[1]
-        gather = np.array([g + [pad] * (max(map(len, gather)) - len(g)) for g in gather])
 
         chunk = max(1, _STACK_ELEMENTS // (2 * gains.size * int(cells[-1]) + largest))
         for first in range(0, len(members), chunk):
@@ -313,23 +305,22 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
                 (k, users): stack[..., lo:hi].reshape((len(batch), 2, gains.size) + tuple(classes[u] for u in users))
                 for (k, users), lo, hi in zip(keys, cells, cells[1:])
             }
-            terms = np.zeros((len(batch), n_terms + 1))
-            for support, need, pep, factors, weights, lo, mult in plan:
+            sums = np.zeros((len(batch),) + gammas.shape)
+            for need, pep, factors, weights, rows, hit, place, at, mult in plan:
                 for k, users, shape in factors:
                     if len(users) < e_star:
                         table = tables[k, users].take(need, axis=2)
                     else:
                         table = _mgf_tables(stacked, [(k, users)], scale[need], kappa)
                     pep = pep * table.reshape(shape)
-                rows = np.add.outer(prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]).ravel()
                 pep = (pep[:, 0] / 12.0 + pep[:, 1] / 4.0).reshape(len(pep), len(need), -1).take(rows, axis=2)
                 # (set, place in the support, gain): every place's weights against every needed gain.
                 dots = np.vecdot(pep[:, None, :, :_CHUNK], weights[:, None, :_CHUNK])
                 for c in range(_CHUNK, weights.shape[1], _CHUNK):
                     dots = dots + np.vecdot(pep[:, None, :, c : c + _CHUNK], weights[:, None, c : c + _CHUNK])
-                terms[:, lo : lo + dots[0].size] = mult * dots.reshape(len(dots), -1)
-            # A running sum in support order; the padding adds zeros.
-            totals[batch] = np.add.accumulate(terms.take(gather, axis=1), axis=2)[:, :, -1]
+                # Each target adds its supports in order onto 0, as the enumeration does.
+                sums[:, hit] += mult * dots[:, place, at]
+            totals[batch] = sums
     return totals
 
 
@@ -438,9 +429,9 @@ def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode
 
 
 def _user_beps(
-    ranks, sets, geom: CellGeometry, kappa: float, n0: float, truncation, distance_mode, c2
+    ranks, targets, sets, geom: CellGeometry, kappa: float, n0: float, truncation, distance_mode, c2
 ) -> np.ndarray:
-    """BEP bounds (S, T) of the users at the given distance ranks in sets that share dims.
+    """BEP bounds (S, T) of the target columns, each at its distance rank, in sets that share dims.
 
     The truncated kernel serves every set and user in one call; the exact
     one serves every user of a set in one call.
@@ -453,7 +444,6 @@ def _user_beps(
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     gains = [_distance_gains(j_rank, j_users, geom, distance_mode, c2) for j_rank in ranks]
     gammas = np.array([g for g, _ in gains])
-    targets = [j_rank - 1 for j_rank in ranks]
     if e_star >= j_users:
         totals = np.array([_exact_user_bep(cbs, targets, gammas, kappa, n0) for cbs in sets])
     else:
@@ -473,18 +463,20 @@ def user_bep(
     distance_mode: str = "mean",
     c2: float | None = None,
 ) -> float:
-    """Upper bound on the BEP of the user at distance rank j (1-based).
+    """Upper bound on the BEP of the rank-j codebook, column j - 1, at distance rank j (1-based).
 
     truncation caps how many users' codewords may differ in an error event
     (E*); None means exact (E* = J), computed as a factor-graph contraction.
     distance_mode "mean" substitutes the order-statistic mean distance ratio
     into the PEP, "quadrature" averages the PEP over the ordered-distance
-    density instead; c2 overrides both.
+    density instead; c2 overrides both.  set_bep instead serves each rank
+    with the column the simulation serves it with (CodebookSet.columns_by_rank);
+    the two agree on a set stored in rank order.
     """
     j_users = cbs.dims.j_users
     if not 1 <= j_rank <= j_users:
         raise ValueError(f"j_rank must be in 1..{j_users}")
-    return float(_user_beps([j_rank], [cbs], geom, kappa, n0, truncation, distance_mode, c2)[0, 0])
+    return float(_user_beps([j_rank], [j_rank - 1], [cbs], geom, kappa, n0, truncation, distance_mode, c2)[0, 0])
 
 
 def set_bep(
@@ -497,10 +489,12 @@ def set_bep(
 ):
     """Average and worst BEP bounds over all users, plus the per-user vector.
 
-    Takes the same truncation and distance_mode as user_bep.  cbs is one
-    CodebookSet, which returns one BepSummary, or a sequence of sets with
-    equal dims, which returns a list of them: the truncated bound serves the
-    whole sequence from one kernel call, the exact bound each set from one.
+    Takes the same truncation and distance_mode as user_bep.  Rank r is
+    served by column CodebookSet.columns_by_rank()[r - 1], as in the
+    simulation.  cbs is one CodebookSet, which returns one BepSummary, or a
+    sequence of sets with equal dims, which returns a list of them: the
+    truncated bound serves all sets that pair ranks with the same columns
+    from one kernel call, the exact bound each set from one.
     """
     sets = [cbs] if isinstance(cbs, CodebookSet) else list(cbs)
     if not sets:
@@ -508,7 +502,13 @@ def set_bep(
     if len({c.dims for c in sets}) > 1:
         raise ValueError("the sets of one set_bep call must share dims")
     ranks = range(1, sets[0].dims.j_users + 1)
-    per_user = _user_beps(ranks, sets, geom, kappa, n0, truncation, distance_mode, None)
+    by_columns = {}
+    for s, c in enumerate(sets):
+        by_columns.setdefault(tuple(c.columns_by_rank().tolist()), []).append(s)
+    per_user = np.empty((len(sets), len(ranks)))
+    for columns, members in by_columns.items():
+        group = [sets[s] for s in members]
+        per_user[members] = _user_beps(ranks, columns, group, geom, kappa, n0, truncation, distance_mode, None)
     summaries = [BepSummary(per_user=p) for p in per_user]
     return summaries[0] if isinstance(cbs, CodebookSet) else summaries
 

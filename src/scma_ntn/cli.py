@@ -98,7 +98,8 @@ def _load_config(path, args) -> dict:
     """The defaults, overridden by the file at path (if any), then by the flags in args."""
     merged = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        # No section name matches "", so a [DEFAULT] section is an unknown section like any other.
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             read = parser.read(path, encoding="utf-8")
         except configparser.Error as exc:  # its message names the file, over several lines

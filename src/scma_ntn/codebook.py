@@ -52,6 +52,20 @@ class CodebookSet:
     def traces(self) -> np.ndarray:
         return np.sum(np.abs(self.codebooks) ** 2, axis=(1, 2))
 
+    def columns_by_rank(self) -> np.ndarray:
+        """The column serving each distance rank: entry r - 1, for rank r, is the r-th weakest by trace.
+
+        The bound (set_bep) and the simulation both pair ranks with columns by this rule.
+        A trace within NORMALIZATION_TOL (relative) of the next weaker one ties
+        with it, and tied columns keep index order, so equal powers that differ
+        in the last ulps do not reorder a set built in rank order.
+        """
+        traces = self.traces()
+        order = np.argsort(traces, kind="stable")
+        ascending = traces[order]
+        level = np.cumsum(np.diff(ascending, prepend=0.0) > NORMALIZATION_TOL * ascending)
+        return order[np.lexsort((order, level))]
+
     def superimpose(self, tx) -> np.ndarray:
         """Sum of the users' codewords: (B, J) indices -> (B, K) superpositions.
 
@@ -140,10 +154,11 @@ def export_codebook_set(cbs: CodebookSet, path) -> None:
 def import_codebook_set(path) -> CodebookSet:
     """Read an interchange file back into a CodebookSet.
 
-    A file that is not text, dimension mismatches, a repeated dims record
-    and codebook blocks that are missing, repeated or hold other than M
-    codewords are errors; a total power off J*M by more than 1e-9
-    (relative) only warns, so externally designed baselines load.
+    A file that is not text, dimension mismatches, a repeated dims record,
+    codebook blocks that are missing, repeated or hold other than M
+    codewords, and non-finite codeword values are errors; a total power off
+    J*M by more than 1e-9 (relative) only warns, so externally designed
+    baselines load.
     """
     try:
         with open(path) as fh:
@@ -206,6 +221,8 @@ def import_codebook_set(path) -> CodebookSet:
         if rows.get(u, 0) < dims.m_order:
             found = "missing" if u not in rows else f"has {rows[u]} codewords"
             raise CodebookFormatError(f"{path}: codebook {u + 1} {found}, expected M = {dims.m_order}")
+    if not np.all(np.isfinite(books)):
+        raise CodebookFormatError(f"{path}: a codeword holds a non-finite value (nan or inf)")
     occupancy = np.any(books != 0, axis=2).sum(axis=1)
     if np.any(occupancy > dims.n_nonzero):
         raise CodebookFormatError(

@@ -114,12 +114,8 @@ class SignatureMatrix:
 
     def column_powers(self) -> np.ndarray:
         """Total power per column: sum of rho^2 over its operators."""
-        rho2 = self.operator_rhos() ** 2
-        powers = np.zeros(self.j_users)
-        for c in range(self.j_users):
-            idx = self.entries[:, c]
-            powers[c] = rho2[idx[idx > 0] - 1].sum()
-        return powers
+        rho2 = np.concatenate(([0.0], self.operator_rhos() ** 2))  # entry 0 is vacant
+        return rho2[self.entries].sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -142,72 +138,49 @@ def _patterns(k: int, n: int) -> list:
     return [frozenset(rows) for rows in combinations(range(k), n)]
 
 
-def _pack_layers(k: int, n: int, d_f: int, n_groups_size: int, n_residual: int):
-    """Pack d_f orthogonal groups of L layers plus R residual layers.
+def _pack_layers(k: int, n: int, d_f: int, n_group: int, n_residual: int):
+    """Pack d_f orthogonal groups of L = n_group layers plus R residual layers.
 
-    Deterministic DFS: candidates scanned in pattern-lex order, indices
-    ascending within a group, group leaders ascending across groups, and
-    residual layers chosen so that every RN ends with degree exactly d_f.
-    Returns (groups, residuals) as lists of pattern row-sets, or None.
+    Deterministic DFS over the J layer slots: group g's i-th layer fills
+    slot g*L + i, residual v slot L*d_f + v.  Candidates are scanned in
+    pattern-lex order, ascending within a group and among the residuals,
+    each group's leader after the previous group's leader; a group's layers
+    share no RN and no RN exceeds degree d_f.  J*N = K*d_f ones with no row
+    above d_f leave every RN at degree exactly d_f.  Returns the K x J
+    boolean support, column s the pattern of slot s, or None.
     """
     pats = _patterns(k, n)
-    n_pat = len(pats)
-    used = [False] * n_pat
+    n_grouped = n_group * d_f
+    chosen: list = []  # pattern index of each filled slot
     row_deg = [0] * k
-    groups = [[] for _ in range(d_f)]
+    used = [False] * len(pats)
 
-    def row_fits(p_idx: int) -> bool:
-        return all(row_deg[r] < d_f for r in pats[p_idx])
-
-    def place(p_idx: int) -> None:
-        used[p_idx] = True
-        for r in pats[p_idx]:
-            row_deg[r] += 1
-
-    def unplace(p_idx: int) -> None:
-        used[p_idx] = False
-        for r in pats[p_idx]:
-            row_deg[r] -= 1
-
-    def residual_dfs(chosen: list, start: int, remaining: int) -> bool:
-        if remaining == 0:
-            return all(row_deg[r] == d_f for r in range(k))
-        for p in range(start, n_pat):
-            if used[p] or not row_fits(p):
+    def dfs(s: int) -> bool:
+        if s == n_grouped + n_residual:
+            return True
+        if s < n_grouped:
+            leader = s - s % n_group
+            start = chosen[-1] + 1 if s > leader else (chosen[s - n_group] + 1 if s else 0)
+            taken = set().union(*(pats[p] for p in chosen[leader:]))
+        else:
+            start = chosen[-1] + 1 if s > n_grouped else 0
+            taken = set()
+        for p in range(start, len(pats)):
+            if used[p] or any(row_deg[r] == d_f for r in pats[p]) or not taken.isdisjoint(pats[p]):
                 continue
-            place(p)
+            for r in pats[p]:
+                row_deg[r] += 1
             chosen.append(p)
-            if residual_dfs(chosen, p + 1, remaining - 1):
+            used[p] = True
+            if dfs(s + 1):
                 return True
             chosen.pop()
-            unplace(p)
+            used[p] = False
+            for r in pats[p]:
+                row_deg[r] -= 1
         return False
 
-    residuals: list = []
-
-    def group_dfs(u: int, slot: int, start: int) -> bool:
-        if u == d_f:
-            return residual_dfs(residuals, 0, n_residual)
-        if slot == n_groups_size:
-            next_leader = groups[u][0] + 1 if groups[u] else 0
-            return group_dfs(u + 1, 0, next_leader)
-        group_rows = set().union(*(pats[p] for p in groups[u])) if groups[u] else set()
-        for p in range(start, n_pat):
-            if used[p] or not row_fits(p):
-                continue
-            if pats[p] & group_rows:
-                continue
-            place(p)
-            groups[u].append(p)
-            if group_dfs(u, slot + 1, p + 1):
-                return True
-            groups[u].pop()
-            unplace(p)
-        return False
-
-    if not group_dfs(0, 0, 0):
-        return None
-    return [list(g) for g in groups], list(residuals), pats
+    return np.array([[r in pats[p] for p in chosen] for r in range(k)]) if dfs(0) else None
 
 
 def assign_layers_and_power(operators, dims: SystemDims) -> SignatureMatrix:
@@ -231,71 +204,48 @@ def assign_layers_and_power(operators, dims: SystemDims) -> SignatureMatrix:
         raise LayeringError(f"J = {j} exceeds the C({k},{n}) distinct layer patterns")
 
     n_group = k // n
-    n_residual = j - n_group * d_f
-    if n_residual < 0:
+    n_grouped = n_group * d_f
+    if j < n_grouped:
         raise LayeringError(
-            f"infeasible dims: J = {j} < L*d_f = {n_group * d_f} full-group layers"
+            f"infeasible dims: J = {j} < L*d_f = {n_grouped} full-group layers"
         )
-
-    packed = _pack_layers(k, n, d_f, n_group, n_residual)
-    if packed is None:
+    support = _pack_layers(k, n, d_f, n_group, j - n_grouped)
+    if support is None:
         raise LayeringError(f"no orthogonal layer packing exists for K={k}, J={j}, N={n}")
-    group_pats, residual_pats, pats = packed
+    # covers[r, g]: group g has a layer on row r (at most one, as its layers are orthogonal).
+    covers = support[:, :n_grouped].reshape(k, d_f, n_group).any(axis=2)
 
     # Per-RN countdown: row r hands out q_{d_f}, ..., q_1 in the order its
     # layers are visited; every row hosts exactly d_f ones, so balance holds.
-    countdown = [d_f] * k
-    group_row_op = [dict() for _ in range(d_f)]
-    residual_row_op = [dict() for _ in range(n_residual)]
-    group_assigned = [False] * d_f
-    group_rows = [sorted(set().union(*(pats[p] for p in group_pats[g]))) for g in range(d_f)]
+    # Each row of a residual layer first visits the earliest unvisited group
+    # that leaves the row free; the groups still unvisited follow in order.
+    entries = np.zeros((k, j), dtype=int)
+    countdown = np.full(k, d_f)
+    unvisited = list(range(d_f))
 
-    def assign_group(g: int) -> None:
-        for r in group_rows[g]:
-            group_row_op[g][r] = countdown[r]
-            countdown[r] -= 1
-        group_assigned[g] = True
+    def visit(g: int) -> None:
+        cols = slice(g * n_group, (g + 1) * n_group)
+        entries[:, cols] = support[:, cols] * countdown[:, None]
+        countdown[covers[:, g]] -= 1
+        unvisited.remove(g)
 
-    for v, p in enumerate(residual_pats):
-        for r in sorted(pats[p]):
-            for g in range(d_f):
-                if not group_assigned[g] and r not in group_rows[g]:
-                    assign_group(g)
-                    break
-            residual_row_op[v][r] = countdown[r]
+    for c in range(n_grouped, j):
+        for r in np.flatnonzero(support[:, c]):
+            free = [g for g in unvisited if not covers[r, g]]
+            if free:
+                visit(free[0])
+            entries[r, c] = countdown[r]
             countdown[r] -= 1
-    for g in range(d_f):
-        if not group_assigned[g]:
-            assign_group(g)
-    if any(c != 0 for c in countdown):
+    for g in list(unvisited):
+        visit(g)
+    if countdown.any():
         raise LayeringError("operator countdown left an unbalanced row; dims unsupported")
 
-    entries = np.zeros((k, j), dtype=int)
-    col_group = {}
-    col = 0
-    for g in range(d_f):
-        for p in group_pats[g]:
-            for r in pats[p]:
-                entries[r, col] = group_row_op[g][r]
-            col_group[col] = g
-            col += 1
-    residual_cols = []
-    for v, p in enumerate(residual_pats):
-        for r in pats[p]:
-            entries[r, col] = residual_row_op[v][r]
-        residual_cols.append(col)
-        col += 1
-
-    rho2 = np.array([op.rho**2 for op in ops])
-    powers = np.array([rho2[entries[:, c][entries[:, c] > 0] - 1].sum() for c in range(j)])
-    order = np.argsort(powers, kind="stable")
-    entries = entries[:, order]
-    new_pos = {old: new for new, old in enumerate(order)}
-    groups = tuple(
-        tuple(sorted(new_pos[c] for c in col_group if col_group[c] == g)) for g in range(d_f)
-    )
-    residuals = tuple(sorted(new_pos[c] for c in residual_cols))
-    return SignatureMatrix(entries=entries, operators=ops, groups=groups, residuals=residuals)
+    order = np.argsort(SignatureMatrix(entries, ops, ()).column_powers(), kind="stable")
+    # Sorted column c holds packed column order[c], of group order[c] // L or a residual layer.
+    groups = tuple(tuple(np.flatnonzero(order // n_group == g).tolist()) for g in range(d_f))
+    residuals = tuple(np.flatnonzero(order >= n_grouped).tolist())
+    return SignatureMatrix(entries=entries[:, order], operators=ops, groups=groups, residuals=residuals)
 
 
 def validate_signature(sig: SignatureMatrix) -> SignatureReport:

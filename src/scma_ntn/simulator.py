@@ -113,7 +113,7 @@ def _run_batch(cfg: SimConfig, cbs: CodebookSet, detect, n0: float, batch: int, 
     """Vectorized batch of trials; returns per-rank error counts (J,).
 
     Distances are sorted ascending, so row r of c2 is the rank-r user; it is
-    served by col_of_rank[r], the r-th weakest column (ties by index).
+    served by col_of_rank[r], the r-th weakest column (CodebookSet.columns_by_rank).
     Draw order (radii, tx indices, channels, noise) is fixed, so a seeded
     generator reproduces the counts bit-identically.
     """
@@ -123,7 +123,7 @@ def _run_batch(cfg: SimConfig, cbs: CodebookSet, detect, n0: float, batch: int, 
         c2 = np.tile(np.sort(np.asarray(cfg.fixed_distance_ratios, dtype=float)), (batch, 1))
     else:
         c2 = np.sort(sample_radii((batch, j_users), rng), axis=1)
-    col_of_rank = np.argsort(cbs.traces(), kind="stable")
+    col_of_rank = cbs.columns_by_rank()
     tx_col = rng.integers(0, m_order, (batch, j_users))
     superposed = cbs.superimpose(tx_col)
     g = sample_rician((batch, j_users, k), cfg.kappa, rng)

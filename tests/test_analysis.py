@@ -545,6 +545,40 @@ def test_user_bep_permutation_covariance(ref_cbs, geom):
         assert moved == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("truncation", [2, None])
+def test_bound_serves_each_rank_with_the_column_the_simulation_serves(ref_cbs, geom, truncation):
+    # Stored strongest first, as in test_allocate_reverses_descending_distances: rank r is
+    # served by the r-th weakest column wherever it is stored.
+    scale = np.linspace(1.5, 1.0, 6)[:, None, None]
+    flipped = CodebookSet.from_codebooks(scale * ref_cbs.codebooks[::-1], ref_cbs.dims)
+    resorted = CodebookSet(codebooks=flipped.codebooks[::-1], dims=flipped.dims)
+    n0 = snr_db_to_n0(16.0, ref_cbs.dims)
+    got = set_bep(flipped, geom, 10.0, n0, truncation=truncation).per_user
+    want = set_bep(resorted, geom, 10.0, n0, truncation=truncation).per_user
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    # Sets of one call that pair ranks with different columns are bounded apart, each as alone.
+    both = set_bep([flipped, resorted], geom, 10.0, n0, truncation=truncation)
+    assert np.array_equal(both[0].per_user, got) and np.array_equal(both[1].per_user, want)
+
+
+def test_bound_keeps_index_order_of_an_ulp_power_tie(ref_cbs, geom):
+    books = ref_cbs.codebooks.copy()
+    books[1] *= np.exp(0.4j)  # columns 0 and 1 keep equal powers but no longer share their bounds
+
+    def column_0_scaled(f):
+        out = books.copy()
+        out[0] *= f
+        return CodebookSet(codebooks=out, dims=ref_cbs.dims)
+
+    weaker, stronger = column_0_scaled(1 - 4 * np.finfo(float).eps), column_0_scaled(1 + 4 * np.finfo(float).eps)
+    assert np.argsort(stronger.traces(), kind="stable")[0] == 1  # column 0 is a few ulps stronger
+    n0 = snr_db_to_n0(16.0, ref_cbs.dims)
+    tied = set_bep(stronger, geom, 10.0, n0, truncation=2).per_user
+    assert np.all(np.abs(tied - set_bep(weaker, geom, 10.0, n0, truncation=2).per_user) <= 1e-12 * tied)
+    swapped = CodebookSet(codebooks=books[[1, 0, 2, 3, 4, 5]], dims=ref_cbs.dims)
+    assert np.all(np.abs(set_bep(swapped, geom, 10.0, n0, truncation=2).per_user[:2] - tied[:2]) > 1e-6 * tied[:2])
+
+
 def test_user_bep_quadrature_mode_close_to_mean_mode(ref_cbs, geom):
     n0 = snr_db_to_n0(16.0, ref_cbs.dims)
     mean_mode = user_bep(3, ref_cbs, geom, 10.0, n0, truncation=2)

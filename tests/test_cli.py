@@ -40,6 +40,8 @@ BAD_VALUES = {
     "config-duplicate-key": (["design"], "[design]\npopulation = 4\npopulation = 6\n"),
     "config-duplicate-section": (["design"], "[design]\npopulation = 4\n[design]\ngenerations = 2\n"),
     "config-percent-sign": (["analyze"], "[analysis]\nsnr_grid = 5%\n"),
+    "config-default-section": (["assign"], "[DEFAULT]\nkappa = 5\n"),
+    "config-default-section-and-link": (["assign"], "[DEFAULT]\nkappa = 5\n[link]\n"),
 }
 
 

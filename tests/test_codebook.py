@@ -222,6 +222,21 @@ def repeat_dims(lines):
     return lines + [lines[1]]
 
 
+def set_entry(value, zero):
+    """A mangle that writes value over codebook 1's first zero (or nonzero) codeword number."""
+
+    def mangle(lines):
+        first = lines.index("codebook 1") + 1
+        tok = lines[first].split()
+        at = next(i for i, t in enumerate(tok[1:], 1) if (float(t) == 0.0) == zero)
+        return lines[:first] + [" ".join(tok[:at] + [value] + tok[at + 1 :])] + lines[first + 1 :]
+
+    return mangle
+
+
+NON_FINITE = "a codeword holds a non-finite value"
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
@@ -229,6 +244,10 @@ def repeat_dims(lines):
         (repeat_block, "codebook 1 repeated"),
         (drop_block, "codebook 6 missing, expected M = 4"),
         (repeat_dims, "dims repeated"),
+        pytest.param(set_entry("nan", zero=False), NON_FINITE, id="nan-over-nonzero"),
+        pytest.param(set_entry("inf", zero=False), NON_FINITE, id="inf-over-nonzero"),
+        pytest.param(set_entry("-inf", zero=False), NON_FINITE, id="minus-inf-over-nonzero"),
+        pytest.param(set_entry("nan", zero=True), NON_FINITE, id="nan-over-zero"),
     ],
 )
 def test_import_rejects_incomplete_codebook_blocks(tmp_path, ref_cbs, mangle, message):

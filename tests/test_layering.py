@@ -98,6 +98,88 @@ def test_assignment_outputs_validate(k, j, n):
     assert report.ok, report.messages
 
 
+# Exact signatures of a fixed operator set (rho evenly spaced from 0.4 to 1.0),
+# or the LayeringError message; the published-matrix tests above compare only
+# up to relabeling, these pin the search and countdown order themselves.
+PINNED = {
+    (4, 6, 2): (
+        [[1, 0, 2, 0, 3, 0], [0, 1, 0, 2, 3, 0], [0, 1, 2, 0, 0, 3], [1, 0, 0, 2, 0, 3]],
+        ((4, 5), (2, 3), (0, 1)),
+        (),
+    ),
+    (5, 10, 2): (
+        [
+            [1, 0, 0, 2, 0, 3, 0, 0, 4, 0],
+            [0, 1, 0, 0, 2, 3, 0, 0, 0, 4],
+            [1, 0, 0, 0, 2, 0, 3, 4, 0, 0],
+            [0, 1, 2, 0, 0, 0, 3, 0, 4, 0],
+            [0, 0, 1, 2, 0, 0, 0, 3, 0, 4],
+        ],
+        ((5, 6), (0, 1), (8, 9), (3, 4)),
+        (2, 7),
+    ),
+    (6, 9, 2): (
+        [
+            [1, 0, 0, 2, 0, 0, 3, 0, 0],
+            [0, 1, 0, 0, 2, 0, 3, 0, 0],
+            [0, 0, 1, 2, 0, 0, 0, 3, 0],
+            [1, 0, 0, 0, 0, 2, 0, 3, 0],
+            [0, 0, 1, 0, 2, 0, 0, 0, 3],
+            [0, 1, 0, 0, 0, 2, 0, 0, 3],
+        ],
+        ((6, 7, 8), (3, 4, 5), (0, 1, 2)),
+        (),
+    ),
+    (6, 3, 4): ([[1, 0, 2], [1, 0, 2], [1, 2, 0], [1, 2, 0], [0, 1, 2], [0, 1, 2]], ((0,), (2,)), (1,)),
+    (7, 7, 3): (
+        [
+            [1, 0, 2, 0, 0, 3, 0],
+            [1, 0, 2, 0, 0, 3, 0],
+            [1, 0, 0, 2, 0, 0, 3],
+            [0, 1, 2, 0, 3, 0, 0],
+            [0, 1, 0, 2, 0, 3, 0],
+            [0, 1, 0, 0, 2, 0, 3],
+            [0, 0, 0, 2, 1, 0, 3],
+        ],
+        ((0, 1), (2, 3), (5, 6)),
+        (4,),
+    ),
+    (8, 8, 3): (
+        [
+            [1, 0, 0, 2, 0, 0, 3, 0],
+            [1, 0, 0, 2, 0, 0, 3, 0],
+            [0, 0, 1, 2, 0, 0, 0, 3],
+            [1, 0, 0, 0, 2, 3, 0, 0],
+            [0, 0, 1, 0, 2, 0, 3, 0],
+            [0, 1, 2, 0, 3, 0, 0, 0],
+            [0, 1, 0, 0, 0, 2, 0, 3],
+            [0, 1, 0, 0, 0, 2, 0, 3],
+        ],
+        ((3, 4), (0, 2), (6, 7)),
+        (1, 5),
+    ),
+    (4, 8, 2): "J = 8 exceeds the C(4,2) distinct layer patterns",
+}
+
+
+@pytest.mark.parametrize("k,j,n", sorted(PINNED))
+def test_assignment_pins_exact_signatures(k, j, n):
+    d_f = j * n // k
+    ops = ops_ascending(list(np.linspace(0.4, 1.0, d_f)))
+    expected = PINNED[k, j, n]
+    if isinstance(expected, str):
+        with pytest.raises(LayeringError) as exc:
+            assign_layers_and_power(ops, SystemDims(k, j, 4, n))
+        assert str(exc.value) == expected
+        return
+    sig = assign_layers_and_power(ops, SystemDims(k, j, 4, n))
+    entries, groups, residuals = expected
+    assert sig.entries.tolist() == entries
+    assert sig.groups == groups and sig.residuals == residuals
+    assert all(type(c) is int for c in sum(sig.groups, sig.residuals))
+    assert validate_signature(sig).ok
+
+
 def test_enumerate_counts_and_membership():
     pats = _patterns(4, 2)
     assert len(pats) == comb(4, 2) == 6

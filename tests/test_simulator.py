@@ -45,6 +45,17 @@ def test_allocate_equal_powers_identity():
     assert np.array_equal(errors, _ones(tx))
 
 
+def test_allocate_ulp_power_tie_keeps_index_order(ref_cbs):
+    # column 0 a few ulps stronger than column 1, its equal-power twin: still a tie
+    books = ref_cbs.codebooks.copy()
+    books[0] *= 1 + 4 * np.finfo(float).eps
+    tied = CodebookSet(codebooks=books, dims=ref_cbs.dims)
+    assert np.argsort(tied.traces(), kind="stable")[0] == 1
+    errors, tx = _blind_batch(tied, [0] * 6)
+    assert np.array_equal(errors, _ones(tx))
+    assert _ones(tx)[0] != _ones(tx)[1]
+
+
 def test_allocate_farthest_gets_max_power(ref_cbs):
     perm = np.random.default_rng(9).permutation(6)
     scale = np.linspace(1.0, 1.5, 6)[:, None, None]  # breaks the reference set's power ties
