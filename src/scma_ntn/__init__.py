@@ -16,7 +16,6 @@ from .analysis import (
     rician_mgf,
     set_bep,
     snr_db_to_n0,
-    user_bep,
 )
 from .codebook import (
     CodebookSet,

@@ -15,7 +15,7 @@ enter only through their difference vectors, so pairs with equal vectors
 are lumped into one class (variable merging, Kschischang, Frey & Loeliger
 2001): 8 classes instead of 12 pairs on the 4x6 reference design.  The exact
 bound contracts one MGF table per RN over the factor graph, batched over
-(target user, gain, MGF term) so that one contraction serves a set_bep call;
+(user, gain, MGF term) so that one contraction serves a set_bep call;
 numpy's einsum runs it on a greedy path cached per graph.
 A truncated bound (at most E* < J users in error) multiplies per-(RN, users)
 tables over each error support's classes, repeating the floating-point
@@ -27,6 +27,7 @@ the codebook set carries total power J*M over M codeword uses and K RNs,
 so per-RN signal power is J/K and N0 = (J/K) * 10^(-snr_db/10).
 """
 
+import math
 import string
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -46,7 +47,6 @@ __all__ = [
     "snr_db_to_n0",
     "effective_snr_terms",
     "pep",
-    "user_bep",
     "set_bep",
     "write_bep_csv",
 ]
@@ -60,6 +60,8 @@ _STACK_ELEMENTS = 1 << 21
 _MAX_ELEMENTS = 1 << 24
 # Gauss-Legendre nodes of the quadrature distance mode.
 _QUAD_ORDER = 32
+# 10^x is a nonzero, finite float for |x| < 308.
+_MAX_DECADES = 308.0
 
 
 def q_approx(x):
@@ -86,8 +88,16 @@ def rician_mgf(s, kappa: float):
 
 
 def snr_db_to_n0(snr_db: float, dims) -> float:
-    """Noise level N0 for a given SNR in dB: N0 = J / (K * 10^(snr/10))."""
-    return dims.j_users / (dims.k_resources * 10.0 ** (snr_db / 10.0))
+    """Noise level N0 for a given SNR in dB: N0 = J / (K * 10^(snr/10)).
+
+    Raises ValueError unless 0 < N0 < inf.  The power is taken only where
+    10^(snr/10) is a nonzero, finite float, so no float overflow comes first.
+    """
+    decades = snr_db / 10.0
+    n0 = dims.j_users / (dims.k_resources * 10.0**decades) if abs(decades) < _MAX_DECADES else math.nan
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"SNR {snr_db:g} dB has no finite, positive noise level N0")
+    return n0
 
 
 @dataclass(frozen=True)
@@ -218,15 +228,15 @@ def _lumped_pairs(cbs: CodebookSet):
     return vectors, inverse, np.array([bin(x).count("1") for x in a ^ b], dtype=float)
 
 
-def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: float, e_star: int) -> np.ndarray:
-    """Truncated union-bound numerators of several sets and targets, over error supports of at most e_star users.
+def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_star: int) -> np.ndarray:
+    """Truncated union-bound numerators of every column of several sets, over error supports of at most e_star users.
 
-    sets share dims, targets are 0-based users and gammas (T, G) their
-    geometry gains; returns (S, T, G).  RN k's MGF factor depends only on
-    the classes of the support's users on k, so one table per (RN, users)
-    serves every support.  A table of e_star users serves only the support
-    they form, which builds it at its targets' gains; the smaller ones are
-    built one set at a time, at every gain.
+    sets share dims, and row u of gammas (J, G) holds the geometry gains of
+    the rank column u serves; returns (S, J, G).  RN k's MGF factor depends
+    only on the classes of the support's users on k, so one table per (RN,
+    users) serves every support.  A table of e_star users serves only the
+    support they form, which builds it at its users' gains; the smaller ones
+    are built one set at a time, at every gain.
 
     Sets with equal collision sets and pair classes share every support's
     table shapes and gather rows.  Such a group runs on a leading candidate
@@ -235,7 +245,7 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
     support's numpy calls once per chunk, not once per set.
 
     The tables are multiplied in ascending RN order, the PEP is gathered back
-    to ordered-pair order and summed in _CHUNK slices, and each target adds
+    to ordered-pair order and summed in _CHUNK slices, and each column adds
     up its supports in the enumeration's order, so every set's result equals
     the enumeration's bit for bit.  Each slice is summed by np.vecdot, which
     runs BLAS ddot on each (set, gain) row as `w @ p` does; np.matmul would
@@ -247,10 +257,6 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
     gains, gain_of = np.unique(gammas, return_inverse=True)
     gain_of = gain_of.reshape(gammas.shape).tolist()
     scale = n0 * gains
-    position = {t: i for i, t in enumerate(targets)}
-
-    def gains_at(users):  # sorted indices into gains of the targets among users
-        return sorted({g for u in users if u in position for g in gain_of[position[u]]})
 
     groups = {}
     for s, (c, (_, inverse, _)) in enumerate(zip(sets, lumped)):
@@ -261,37 +267,35 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
         on_rn = [{int(u) for u in users} for users in collision]
         # The tables of each (RN, fewer than e_star users on it) at every gain, one set at a time.
         # A table of e_star users serves only the support they form, so that support builds it at
-        # its targets' gains.
+        # its users' gains.
         keys = [
             (k, us) for k, on_k in enumerate(on_rn) for n in range(e_star - 1) for us in combinations(sorted(on_k), n + 1)
         ]
         cells = np.cumsum([0] + [prod(classes[u] for u in users) for _, users in keys])
 
-        # Supports run by size, then in lexicographic order, which is each target's enumeration order.
+        # Supports run by size, then in lexicographic order, which is each column's enumeration order.
         plan, largest = [], 0
         prefix_rows = {(): 0}  # each support's enumeration rows, as flat indices into its class tuples
         for size in range(1, e_star + 1):
-            # The bit weights of the ordered-pair rows, by the target's place in the support.
+            # The bit weights of the ordered-pair rows, by the erring user's place in the support.
             weights = np.array(
                 [np.repeat(np.tile(bits, bits.size**i), bits.size ** (size - 1 - i)) for i in range(size)]
             )
             for support in combinations(range(j_users), size):
                 rows = np.add.outer(prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]).ravel()
                 prefix_rows[support] = rows
-                hit = [position[u] for u in support if u in position]
-                if not hit:
-                    continue
-                need = gains_at(support)
+                need = sorted({g for u in support for g in gain_of[u]})  # the gains its users need
                 factors = []
                 for k, on_k in enumerate(on_rn):
                     users = tuple(u for u in support if u in on_k)
                     if users:
                         tail = tuple(classes[u] if u in users else 1 for u in support)
                         factors.append((k, users, (-1, 2, len(need)) + tail))
-                place = [[support.index(targets[i])] for i in hit]  # each hit target's place in the support
-                at = [[need.index(g) for g in gain_of[i]] for i in hit]  # and its gains' indices in need
                 ones = np.ones((1, 2, len(need)) + (1,) * size)
-                plan.append((np.array(need), ones, factors, weights, rows, hit, place, at, float(m) ** (j_users - size)))
+                # Each user's gains as flat indices into the support's (place, needed gain) dot products.
+                at = np.array([[i * len(need) + need.index(g) for g in gain_of[u]] for i, u in enumerate(support)])
+                mult = float(m) ** (j_users - size)
+                plan.append((np.array(need), ones, factors, weights, rows, list(support), at, mult))
                 largest = max(largest, len(need) * (4 * prod(classes[u] for u in support) + weights.shape[1]))
 
         chunk = max(1, _STACK_ELEMENTS // (2 * gains.size * int(cells[-1]) + largest))
@@ -306,7 +310,7 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
                 for (k, users), lo, hi in zip(keys, cells, cells[1:])
             }
             sums = np.zeros((len(batch),) + gammas.shape)
-            for need, pep, factors, weights, rows, hit, place, at, mult in plan:
+            for need, pep, factors, weights, rows, support, at, mult in plan:
                 for k, users, shape in factors:
                     if len(users) < e_star:
                         table = tables[k, users].take(need, axis=2)
@@ -318,8 +322,8 @@ def _truncated_user_bep(sets, targets, gammas: np.ndarray, kappa: float, n0: flo
                 dots = np.vecdot(pep[:, None, :, :_CHUNK], weights[:, None, :_CHUNK])
                 for c in range(_CHUNK, weights.shape[1], _CHUNK):
                     dots = dots + np.vecdot(pep[:, None, :, c : c + _CHUNK], weights[:, None, c : c + _CHUNK])
-                # Each target adds its supports in order onto 0, as the enumeration does.
-                sums[:, hit] += mult * dots[:, place, at]
+                # Each user adds its supports in order onto 0, as the enumeration does.
+                sums[:, support] += mult * dots.reshape(len(dots), -1)[:, at]
             totals[batch] = sums
     return totals
 
@@ -340,17 +344,15 @@ def _mgf_tables(vectors, keys, scale: np.ndarray, kappa: float) -> np.ndarray:
     return rician_mgf(sk[:, None] / np.array([4.0, 3.0])[:, None, None], kappa)
 
 
-def _exact_user_bep(
-    cbs: CodebookSet, targets, gammas: np.ndarray, kappa: float, n0: float
-) -> np.ndarray:
-    """Exact union-bound numerators of several targets, as one factor-graph contraction.
+def _exact_user_bep(cbs: CodebookSet, gammas: np.ndarray, kappa: float, n0: float) -> np.ndarray:
+    """Exact union-bound numerators of every column, as one factor-graph contraction.
 
-    targets are 0-based users and gammas (T, G) their geometry gains; returns
-    (T, G).  A user takes one of 1 + C values: 0 is "no error" (weight M, 0
-    for the target), 1 + c is its lumped pair class c (weight the class's
-    pair count, its summed bit weights for the target).  RN k holds
-    MGF(|sum_u d_u[k]|^2 / (N0 gamma c)) over its users' values, with a
-    leading batch axis Z = (target, gain, c in {4, 3}); the weighted sum of
+    Row u of gammas (J, G) holds the geometry gains of the rank column u
+    serves; returns (J, G).  A user takes one of 1 + C values: 0 is "no
+    error" (weight M, 0 for the target), 1 + c is its lumped pair class c
+    (weight the class's pair count, its summed bit weights for the target).
+    RN k holds MGF(|sum_u d_u[k]|^2 / (N0 gamma c)) over its users' values,
+    with a leading batch axis Z = (target, gain, c in {4, 3}); the weighted sum of
     the tables' product over all values is the enumeration at E* = J.  Each
     user's weights are folded into the first RN it occupies; a user on no
     RN contributes their sum, an idle RN contributes 1.  Each chunk of Z is
@@ -365,7 +367,7 @@ def _exact_user_bep(
     placed = sorted({u for users in rns for u in users})
     rest = np.array(
         [np.prod([bit_weights.sum() if u == t else float(m * m) for u in range(dims.j_users) if u not in placed])
-         for t in targets]
+         for t in range(dims.j_users)]
     )
     if not rns:  # no RN carries a difference: every PEP is 1/12 + 1/4
         return np.repeat(rest[:, None] / 3.0, gammas.shape[1], axis=1)
@@ -396,12 +398,12 @@ def _exact_user_bep(
         abs2.append(np.abs(reduce(np.add.outer, [values[u][:, k] for u in users])) ** 2)
         home = [u for u in users if u not in homed]
         factors = [[(bits if u == t else weights)[u] if u in home else np.ones(domain[u]) for u in users]
-                   for t in targets]
+                   for t in range(dims.j_users)]
         folds.append(np.stack([reduce(np.multiply.outer, f) for f in factors]))
         homed.update(users)
 
     scale = (n0 * gammas[:, :, None] * np.array([4.0, 3.0])).reshape(-1)
-    target_of = np.repeat(np.arange(len(targets)), scale.size // len(targets))
+    target_of = np.repeat(np.arange(dims.j_users), scale.size // dims.j_users)
     chunk = max(1, _MAX_ELEMENTS // held)
     sums = np.empty(scale.size)
     for lo in range(0, scale.size, chunk):
@@ -414,10 +416,8 @@ def _exact_user_bep(
     return rest[:, None] * (m4 / 12.0 + m3 / 4.0)
 
 
-def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode: str, c2: float | None):
+def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode: str):
     """Geometry gains the PEP is evaluated at, and their weights in the bound."""
-    if c2 is not None:
-        return np.array([_geometry_gain(geom, c2)]), np.array([1.0])
     if distance_mode == "mean":
         return np.array([_geometry_gain(geom, expected_distance_ratio(j_rank, j_users))]), np.array([1.0])
     if distance_mode == "quadrature":
@@ -428,57 +428,6 @@ def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode
     raise ValueError(f"unknown distance_mode {distance_mode!r}")
 
 
-def _user_beps(
-    ranks, targets, sets, geom: CellGeometry, kappa: float, n0: float, truncation, distance_mode, c2
-) -> np.ndarray:
-    """BEP bounds (S, T) of the target columns, each at its distance rank, in sets that share dims.
-
-    The truncated kernel serves every set and user in one call; the exact
-    one serves every user of a set in one call.
-    """
-    j_users = sets[0].dims.j_users
-    e_star = j_users if truncation is None else int(truncation)
-    if e_star < 1:
-        raise ValueError("truncation must be >= 1")
-    if not (np.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    gains = [_distance_gains(j_rank, j_users, geom, distance_mode, c2) for j_rank in ranks]
-    gammas = np.array([g for g, _ in gains])
-    if e_star >= j_users:
-        totals = np.array([_exact_user_bep(cbs, targets, gammas, kappa, n0) for cbs in sets])
-    else:
-        totals = _truncated_user_bep(sets, targets, gammas, kappa, n0, e_star)
-    m = sets[0].dims.m_order
-    norm = float(m) ** j_users * np.log2(m)
-    return np.vecdot(totals, np.array([w for _, w in gains])) / norm
-
-
-def user_bep(
-    j_rank: int,
-    cbs: CodebookSet,
-    geom: CellGeometry,
-    kappa: float,
-    n0: float,
-    truncation: int | None = None,
-    distance_mode: str = "mean",
-    c2: float | None = None,
-) -> float:
-    """Upper bound on the BEP of the rank-j codebook, column j - 1, at distance rank j (1-based).
-
-    truncation caps how many users' codewords may differ in an error event
-    (E*); None means exact (E* = J), computed as a factor-graph contraction.
-    distance_mode "mean" substitutes the order-statistic mean distance ratio
-    into the PEP, "quadrature" averages the PEP over the ordered-distance
-    density instead; c2 overrides both.  set_bep instead serves each rank
-    with the column the simulation serves it with (CodebookSet.columns_by_rank);
-    the two agree on a set stored in rank order.
-    """
-    j_users = cbs.dims.j_users
-    if not 1 <= j_rank <= j_users:
-        raise ValueError(f"j_rank must be in 1..{j_users}")
-    return float(_user_beps([j_rank], [j_rank - 1], [cbs], geom, kappa, n0, truncation, distance_mode, c2)[0, 0])
-
-
 def set_bep(
     cbs,
     geom: CellGeometry,
@@ -487,28 +436,44 @@ def set_bep(
     truncation: int | None = None,
     distance_mode: str = "mean",
 ):
-    """Average and worst BEP bounds over all users, plus the per-user vector.
+    """Upper bounds on every user's BEP, each at its own distance rank: their mean, max and per-rank vector.
 
-    Takes the same truncation and distance_mode as user_bep.  Rank r is
-    served by column CodebookSet.columns_by_rank()[r - 1], as in the
-    simulation.  cbs is one CodebookSet, which returns one BepSummary, or a
-    sequence of sets with equal dims, which returns a list of them: the
-    truncated bound serves all sets that pair ranks with the same columns
-    from one kernel call, the exact bound each set from one.
+    Rank r (1-based) is served by column CodebookSet.columns_by_rank()[r - 1],
+    as in the simulation.  truncation caps how many users' codewords may
+    differ in an error event (E*); None means exact (E* = J), computed as a
+    factor-graph contraction.  distance_mode "mean" substitutes the
+    order-statistic mean distance ratio into the PEP, "quadrature" averages
+    the PEP over the ordered-distance density instead.  cbs is one
+    CodebookSet, which returns one BepSummary, or a sequence of sets with
+    equal dims, which returns a list of them: the truncated bound serves all
+    sets that pair ranks with the same columns from one kernel call, the
+    exact bound each set from one.
     """
     sets = [cbs] if isinstance(cbs, CodebookSet) else list(cbs)
     if not sets:
         return []
     if len({c.dims for c in sets}) > 1:
         raise ValueError("the sets of one set_bep call must share dims")
-    ranks = range(1, sets[0].dims.j_users + 1)
+    j_users, m = sets[0].dims.j_users, sets[0].dims.m_order
+    e_star = j_users if truncation is None else int(truncation)
+    if e_star < 1:
+        raise ValueError("truncation must be >= 1")
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    gains = [_distance_gains(j_rank, j_users, geom, distance_mode) for j_rank in range(1, j_users + 1)]
+    gammas, weights = (np.array(a) for a in zip(*gains))
     by_columns = {}
     for s, c in enumerate(sets):
         by_columns.setdefault(tuple(c.columns_by_rank().tolist()), []).append(s)
-    per_user = np.empty((len(sets), len(ranks)))
+    per_user = np.empty((len(sets), j_users))
     for columns, members in by_columns.items():
-        group = [sets[s] for s in members]
-        per_user[members] = _user_beps(ranks, columns, group, geom, kappa, n0, truncation, distance_mode, None)
+        by_column = np.argsort(columns)  # the rank each column serves, as a row index
+        if e_star >= j_users:
+            totals = np.array([_exact_user_bep(sets[s], gammas[by_column], kappa, n0) for s in members])
+        else:
+            totals = _truncated_user_bep([sets[s] for s in members], gammas[by_column], kappa, n0, e_star)
+        per_user[members] = np.vecdot(totals, weights[by_column])[:, columns]
+    per_user /= float(m) ** j_users * np.log2(m)
     summaries = [BepSummary(per_user=p) for p in per_user]
     return summaries[0] if isinstance(cbs, CodebookSet) else summaries
 

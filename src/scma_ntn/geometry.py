@@ -32,6 +32,14 @@ class CellGeometry:
             raise ValueError(f"c1 must be finite and positive, got {self.radius_ratio_c1}")
         if not (np.isfinite(self.pathloss_alpha) and self.pathloss_alpha >= 1):
             raise ValueError(f"path-loss exponent must be finite and >= 1, got {self.pathloss_alpha}")
+        # The path loss (c1^2 + c2^2)^(alpha/2) runs from the nadir (c2 = 0) to the cell edge (c2 = 1).
+        with np.errstate(over="ignore"):
+            losses = (np.float64(self.radius_ratio_c1) ** 2 + np.array([0.0, 1.0])) ** (self.pathloss_alpha / 2.0)
+        if not np.all((losses > 0) & np.isfinite(losses)):
+            raise ValueError(
+                f"path loss (c1^2 + c2^2)^(alpha/2) leaves the float range on the cell at "
+                f"c1 = {self.radius_ratio_c1}, alpha = {self.pathloss_alpha}"
+            )
 
 
 def sample_radii(shape, rng: np.random.Generator) -> np.ndarray:

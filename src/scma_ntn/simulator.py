@@ -156,10 +156,10 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
     snr_grid = np.asarray(cfg.snr_grid_db, dtype=float)
     all_errors = np.zeros((snr_grid.size, j_users), dtype=np.int64)
     all_bits = np.zeros((snr_grid.size, j_users), dtype=np.int64)
+    n0s = [snr_db_to_n0(snr, dims) for snr in snr_grid]  # every point's N0 is checked before any runs
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for si, snr in enumerate(snr_grid):
-            n0 = snr_db_to_n0(snr, dims)
+        for si, n0 in enumerate(n0s):
             symbols = 0
             errors = np.zeros(j_users, dtype=np.int64)
             batch_counter = 0

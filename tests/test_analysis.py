@@ -24,7 +24,6 @@ from scma_ntn import (
     sample_rician,
     set_bep,
     snr_db_to_n0,
-    user_bep,
 )
 from scma_ntn.analysis import (
     _distance_gains,
@@ -62,7 +61,7 @@ def irregular_sets(draw, k, layout):
 
 def gains_of(cbs, mode):
     j_users = cbs.dims.j_users
-    return np.array([_distance_gains(t + 1, j_users, CellGeometry(), mode, None)[0] for t in range(j_users)])
+    return np.array([_distance_gains(t + 1, j_users, CellGeometry(), mode)[0] for t in range(j_users)])
 
 
 def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode=None, gammas=None):
@@ -70,7 +69,7 @@ def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode=None, gammas
     j_users = cbs.dims.j_users
     n0 = snr_db_to_n0(snr_db, cbs.dims)
     gammas = gains_of(cbs, mode) if gammas is None else gammas
-    got = _exact_user_bep(cbs, list(range(j_users)), gammas, kappa, n0)
+    got = _exact_user_bep(cbs, gammas, kappa, n0)
     for t in range(j_users):
         want = enumerate_user_bep(cbs, t, gammas[t], kappa, n0, max_users_in_error=j_users)
         assert np.all(np.abs(got[t] - want) <= 1e-12 * want), (t, got[t], want)
@@ -124,6 +123,14 @@ def test_rician_mgf_kappa_zero_is_rayleigh():
 def test_snr_convention(dims46):
     assert snr_db_to_n0(0.0, dims46) == pytest.approx(6.0 / 4.0)
     assert snr_db_to_n0(10.0, dims46) == pytest.approx(0.15)
+
+
+def test_snr_without_a_finite_positive_noise_level_is_rejected(dims46):
+    # 10^(snr/10) would overflow or underflow a float; the check comes before the power.
+    for snr in (4000.0, -4000.0, np.float64(4000.0), 1e300, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise level"):
+            snr_db_to_n0(snr, dims46)
+    assert snr_db_to_n0(3000.0, dims46) == pytest.approx(1.5e-300)
 
 
 def test_error_event_validation():
@@ -199,10 +206,11 @@ def test_pep_matches_monte_carlo_oracle(ref_cbs, geom):
     assert pep(ev, ref_cbs, 0.4, geom, 10.0, n0) == pytest.approx(mc, rel=0.02)
 
 
-def brute_force_user_bep(cbs, j_rank, geom, kappa, n0, c2=None):
+def brute_force_user_bep(cbs, j_rank, geom, kappa, n0):
+    """Rank j_rank's bound by direct enumeration, on the column that serves it (as set_bep pairs them)."""
     dims = cbs.dims
-    j = j_rank - 1
-    c2 = expected_distance_ratio(j_rank, dims.j_users) if c2 is None else c2
+    j = int(cbs.columns_by_rank()[j_rank - 1])
+    c2 = expected_distance_ratio(j_rank, dims.j_users)
     total = 0.0
     for tx in product(range(dims.m_order), repeat=dims.j_users):
         for rx in product(range(dims.m_order), repeat=dims.j_users):
@@ -218,22 +226,24 @@ def test_user_bep_single_user_union_bound(geom):
     books = np.zeros((1, 2, 2), dtype=complex)
     books[0] = [[1.0, -1.0], [0.5, -0.5]]
     cbs = CodebookSet.from_codebooks(books, dims)
-    got = user_bep(1, cbs, geom, 4.0, 0.7)
+    got = set_bep(cbs, geom, 4.0, 0.7).per_user[0]
     want = brute_force_user_bep(cbs, 1, geom, 4.0, 0.7)
     assert got == pytest.approx(want, abs=1e-14)
 
 
 def test_user_bep_matches_brute_force_on_reduced_system(reduced_cbs, geom):
     n0 = snr_db_to_n0(9.0, reduced_cbs.dims)
+    assert reduced_cbs.columns_by_rank().tolist() == [0, 2, 1]  # stored out of rank order
+    per_user = set_bep(reduced_cbs, geom, 5.0, n0).per_user
     for j_rank in (1, 2, 3):
-        got = user_bep(j_rank, reduced_cbs, geom, 5.0, n0)
+        got = per_user[j_rank - 1]
         want = brute_force_user_bep(reduced_cbs, j_rank, geom, 5.0, n0)
         assert abs(got - want) <= 1e-12
 
 
 def test_user_bep_monotone_in_snr(ref_cbs, geom):
     vals = [
-        user_bep(2, ref_cbs, geom, 10.0, snr_db_to_n0(snr, ref_cbs.dims), truncation=2)
+        set_bep(ref_cbs, geom, 10.0, snr_db_to_n0(snr, ref_cbs.dims), truncation=2).per_user[1]
         for snr in (0.0, 5.0, 10.0, 15.0, 20.0)
     ]
     assert np.all(np.diff(vals) < 0)
@@ -272,12 +282,19 @@ def test_contraction_matches_enumeration_on_irregular_graphs(k, layout, data, ka
 
 def test_contraction_lumps_the_reference_set(ref_cbs):
     # Every user's 12 ordered pairs fall into 8 classes of equal difference
-    # vectors.  The enumeration takes about a second per user and gain, so
-    # the gains are the mean mode's and the first and last quadrature nodes.
+    # vectors.  The gains are the mean mode's and the first and last
+    # quadrature nodes.  The truncated kernel at E* = J repeats the
+    # enumeration's arithmetic for every user in one call; the enumeration
+    # takes about half a second per user and gain, so it stays the
+    # independent oracle for one user, matched bit for bit.
     assert class_counts(ref_cbs) == [8] * 6
     quadrature = gains_of(ref_cbs, "quadrature")
     gammas = np.column_stack([gains_of(ref_cbs, "mean"), quadrature[:, 0], quadrature[:, -1]])
-    assert_contraction_matches_enumeration(ref_cbs, 10.0, 12.0, gammas=gammas)
+    n0 = snr_db_to_n0(12.0, ref_cbs.dims)
+    got = _exact_user_bep(ref_cbs, gammas, 10.0, n0)
+    want = _truncated_user_bep([ref_cbs], gammas, 10.0, n0, 6)[0]
+    assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
+    assert np.array_equal(want[5], enumerate_user_bep(ref_cbs, 5, gammas[5], 10.0, n0, 6))
 
 
 @pytest.mark.parametrize("mode", ["mean", "quadrature"])
@@ -310,15 +327,8 @@ def test_contraction_with_idle_rn_absent_user_and_constant_user(mode):
     assert_contraction_matches_enumeration(idle_rn_absent_user_and_constant_user_set(), 10.0, 9.0, mode)
 
 
-@pytest.mark.parametrize("mode", ["mean", "quadrature"])
-def test_set_bep_equals_user_bep_per_user(ref_cbs, geom, mode):
-    n0 = snr_db_to_n0(14.0, ref_cbs.dims)
-    per_user = set_bep(ref_cbs, geom, 10.0, n0, distance_mode=mode).per_user
-    assert per_user.tolist() == [user_bep(j + 1, ref_cbs, geom, 10.0, n0, distance_mode=mode) for j in range(6)]
-
-
 def test_contraction_in_batch_chunks_equals_one_chunk(ref_cbs, monkeypatch):
-    # Quadrature on 4x6 batches Z = 6 targets x 32 gains x 2 MGF terms = 384
+    # Quadrature on 4x6 batches Z = 6 users x 32 gains x 2 MGF terms = 384
     # entries.  Per entry, einsum's arguments hold the four RN tables of three
     # users' values each throughout; its second step also holds the first
     # step's product of four users' values, the reordered copies of that
@@ -330,9 +340,9 @@ def test_contraction_in_batch_chunks_equals_one_chunk(ref_cbs, monkeypatch):
     assert analysis_mod._contraction_plan(rns, (size,) * 6, limit)[3] == 6 * size**3 + 2 * size**4
     gammas = gains_of(ref_cbs, "quadrature")
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
-    whole = _exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0)
+    whole = _exact_user_bep(ref_cbs, gammas, 10.0, n0)
     monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", limit)
-    assert np.array_equal(_exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0), whole)
+    assert np.array_equal(_exact_user_bep(ref_cbs, gammas, 10.0, n0), whole)
 
 
 def test_contraction_keeps_its_traced_peak_within_the_limit(ref_cbs, monkeypatch):
@@ -343,10 +353,10 @@ def test_contraction_keeps_its_traced_peak_within_the_limit(ref_cbs, monkeypatch
     monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", limit)
     gammas = gains_of(ref_cbs, "quadrature")
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
-    _exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0)  # plan cached outside the trace
+    _exact_user_bep(ref_cbs, gammas, 10.0, n0)  # plan cached outside the trace
     tracemalloc.start()
     try:
-        _exact_user_bep(ref_cbs, list(range(6)), gammas, 10.0, n0)
+        _exact_user_bep(ref_cbs, gammas, 10.0, n0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,18 +371,19 @@ def test_exact_bound_needs_an_einsum_label_per_placed_user_and_the_batch(geom):
         books[np.arange(j), np.arange(j)] = [1.0, -1.0]
         return CodebookSet.from_codebooks(books, SystemDims(j, j, 2, 1))
 
-    assert 0 < user_bep(1, alone(51), geom, 10.0, 0.1) < 1
+    per_user = set_bep(alone(51), geom, 10.0, 0.1).per_user
+    assert np.all((0 < per_user) & (per_user < 1))
     with pytest.raises(ValueError, match=r"52 users on RNs and a batch axis, einsum labels at most 52"):
-        user_bep(1, alone(52), geom, 10.0, 0.1)
+        set_bep(alone(52), geom, 10.0, 0.1)
 
 
-def assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, targets=None):
-    """The truncated kernel repeats the enumeration's arithmetic: equal bit for bit, for all targets or some."""
+def assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, users=None):
+    """The truncated kernel repeats the enumeration's arithmetic: equal bit for bit, on every user or the given ones."""
     n0 = snr_db_to_n0(snr_db, cbs.dims)
     gammas = gains_of(cbs, mode)
-    targets = range(cbs.dims.j_users) if targets is None else targets
-    got = _truncated_user_bep([cbs], list(targets), gammas[list(targets)], kappa, n0, e_star)[0]
-    want = np.array([enumerate_user_bep(cbs, t, gammas[t], kappa, n0, e_star) for t in targets])
+    users = range(cbs.dims.j_users) if users is None else users
+    got = _truncated_user_bep([cbs], gammas, kappa, n0, e_star)[0, list(users)]
+    want = np.array([enumerate_user_bep(cbs, u, gammas[u], kappa, n0, e_star) for u in users])
     assert np.array_equal(got, want), (e_star, mode, got, want)
 
 
@@ -381,7 +392,6 @@ def assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, target
 def test_truncated_kernel_equals_enumeration_bit_for_bit(cbs, kappa, snr_db, mode):
     for e_star in range(1, cbs.dims.j_users):
         assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star)
-        assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, targets=[cbs.dims.j_users - 1])
 
 
 @pytest.mark.parametrize("k, layout", IRREGULAR_LAYOUTS)
@@ -405,7 +415,7 @@ def test_truncated_kernel_sums_rows_in_chunks():
     # more than one _CHUNK slice holds, so the PEP sum is taken in two dots.
     cbs = make_codebook_set(1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3), SystemDims(4, 6, 8, 2))
     assert 56**3 > analysis_mod._CHUNK
-    assert_truncated_equals_enumeration(cbs, 10.0, 12.0, "mean", 3, targets=[2])
+    assert_truncated_equals_enumeration(cbs, 10.0, 12.0, "mean", 3, users=[2])
 
 
 def random_generation(dims, size, seed):
@@ -419,7 +429,7 @@ def random_generation(dims, size, seed):
 
 def assert_batch_equals_one_call_per_set_and_enumeration(sets, e_star, oracle_gains=("mean", 0, -1)):
     """One set_bep call on sets equals a call per set, in mean and quadrature mode, bit for bit;
-    one batched kernel call equals the enumeration for one target per set, at the mean-mode
+    one batched kernel call equals the enumeration for one user per set, at the mean-mode
     gain and at quadrature nodes given by index."""
     dims = sets[0].dims
     n0 = snr_db_to_n0(12.0, dims)
@@ -430,11 +440,11 @@ def assert_batch_equals_one_call_per_set_and_enumeration(sets, e_star, oracle_ga
             assert np.array_equal(got.per_user, alone.per_user), (e_star, mode)
     mean, quadrature = gains_of(sets[0], "mean"), gains_of(sets[0], "quadrature")
     gammas = np.column_stack([mean[:, 0] if g == "mean" else quadrature[:, g] for g in oracle_gains])
-    targets = [s % dims.j_users for s in range(len(sets))]
-    got = _truncated_user_bep(sets, targets, gammas[targets], 10.0, n0, e_star)
-    for s, (cbs, t) in enumerate(zip(sets, targets)):
-        want = enumerate_user_bep(cbs, t, gammas[t], 10.0, n0, e_star)
-        assert np.array_equal(got[s, s], want), (e_star, s, got[s, s], want)
+    got = _truncated_user_bep(sets, gammas, 10.0, n0, e_star)
+    for s, cbs in enumerate(sets):
+        u = s % dims.j_users
+        want = enumerate_user_bep(cbs, u, gammas[u], 10.0, n0, e_star)
+        assert np.array_equal(got[s, u], want), (e_star, s, got[s, u], want)
 
 
 def test_truncated_generation_on_4x6_equals_one_call_per_set_and_enumeration(dims46):
@@ -467,11 +477,11 @@ def test_truncated_batch_in_chunks_equals_one_chunk(monkeypatch):
     sets = random_generation(SystemDims(4, 6, 4, 2), 5, seed=23)
     gammas = gains_of(sets[0], "mean")
     n0 = snr_db_to_n0(12.0, sets[0].dims)
-    whole = _truncated_user_bep(sets, list(range(6)), gammas, 10.0, n0, 3)
+    whole = _truncated_user_bep(sets, gammas, 10.0, n0, 3)
     # One set per chunk, then chunks of a few sets and a shorter last one.
     for limit in (1, 5 * 10**4, 7 * 10**4):
         monkeypatch.setattr(analysis_mod, "_STACK_ELEMENTS", limit)
-        assert np.array_equal(_truncated_user_bep(sets, list(range(6)), gammas, 10.0, n0, 3), whole), limit
+        assert np.array_equal(_truncated_user_bep(sets, gammas, 10.0, n0, 3), whole), limit
 
 
 def test_truncated_bounds_climb_to_the_exact_bound(ref_cbs, geom):
@@ -488,8 +498,8 @@ def test_truncated_bounds_climb_to_the_exact_bound(ref_cbs, geom):
 def test_exact_bound_rejects_oversized_graph(ref_cbs, geom, monkeypatch):
     big = make_oversized_set()
     with pytest.raises(ValueError, match=r"6x20 graph \(M = 4, d_f = 10\).* elements"):
-        user_bep(1, big, geom, 10.0, 0.1)
-    assert user_bep(1, big, geom, 10.0, 0.1, truncation=1) > 0
+        set_bep(big, geom, 10.0, 0.1)
+    assert np.all(set_bep(big, geom, 10.0, 0.1, truncation=1).per_user > 0)
     # Each user takes "no error" or one of its pair classes.  At a limit of one
     # RN table (d_f = 3 users), a batch chunk of one entry holds every table,
     # but a pairwise step would hold four users' values, so the greedy path
@@ -497,7 +507,7 @@ def test_exact_bound_rejects_oversized_graph(ref_cbs, geom, monkeypatch):
     size = 1 + max(class_counts(ref_cbs))
     monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", size**3)
     with pytest.raises(ValueError, match=r"4x6 graph.* step of " + re.escape(f"{size**6:.3g} elements")):
-        user_bep(1, ref_cbs, geom, 10.0, 0.1)
+        set_bep(ref_cbs, geom, 10.0, 0.1)
 
 
 def test_user_bep_truncation_gap_documented(ref_cbs, geom):
@@ -521,28 +531,10 @@ def test_user_bep_truncation_gap_documented(ref_cbs, geom):
 
 def test_user_bep_kappa_zero_equals_rayleigh_substitution(reduced_cbs, geom, monkeypatch):
     n0 = 0.4
-    got = user_bep(2, reduced_cbs, geom, 0.0, n0)
+    got = set_bep(reduced_cbs, geom, 0.0, n0).per_user
     monkeypatch.setattr(analysis_mod, "rician_mgf", lambda s, kappa: 1.0 / (1.0 + np.asarray(s)))
-    rayleigh = user_bep(2, reduced_cbs, geom, 0.0, n0)
-    assert abs(got - rayleigh) <= 1e-12
-
-
-def test_user_bep_permutation_covariance(ref_cbs, geom):
-    perm = [1, 0, 3, 2, 5, 4]
-    permuted = CodebookSet(codebooks=ref_cbs.codebooks[perm], dims=ref_cbs.dims)
-    n0 = snr_db_to_n0(14.0, ref_cbs.dims)
-    for j_rank in (1, 4):
-        moved = user_bep(j_rank, permuted, geom, 10.0, n0, truncation=2)
-        ref = user_bep(
-            perm[j_rank - 1] + 1,
-            ref_cbs,
-            geom,
-            10.0,
-            n0,
-            truncation=2,
-            c2=expected_distance_ratio(j_rank, 6),
-        )
-        assert moved == pytest.approx(ref, rel=1e-12)
+    rayleigh = set_bep(reduced_cbs, geom, 0.0, n0).per_user
+    assert np.all(np.abs(got - rayleigh) <= 1e-12)
 
 
 @pytest.mark.parametrize("truncation", [2, None])
@@ -581,22 +573,20 @@ def test_bound_keeps_index_order_of_an_ulp_power_tie(ref_cbs, geom):
 
 def test_user_bep_quadrature_mode_close_to_mean_mode(ref_cbs, geom):
     n0 = snr_db_to_n0(16.0, ref_cbs.dims)
-    mean_mode = user_bep(3, ref_cbs, geom, 10.0, n0, truncation=2)
-    quad_mode = user_bep(3, ref_cbs, geom, 10.0, n0, truncation=2, distance_mode="quadrature")
+    mean_mode = set_bep(ref_cbs, geom, 10.0, n0, truncation=2).per_user[2]
+    quad_mode = set_bep(ref_cbs, geom, 10.0, n0, truncation=2, distance_mode="quadrature").per_user[2]
     assert quad_mode == pytest.approx(mean_mode, rel=0.5)
     assert quad_mode != mean_mode
 
 
 def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
-    with pytest.raises(ValueError):
-        user_bep(0, ref_cbs, geom, 10.0, 0.1)
-    with pytest.raises(ValueError):
-        user_bep(1, ref_cbs, geom, 10.0, 0.1, truncation=0)
-    with pytest.raises(ValueError):
-        user_bep(1, ref_cbs, geom, 10.0, 0.1, distance_mode="nope")
+    with pytest.raises(ValueError, match="truncation must be >= 1"):
+        set_bep(ref_cbs, geom, 10.0, 0.1, truncation=0)
+    with pytest.raises(ValueError, match="unknown distance_mode"):
+        set_bep(ref_cbs, geom, 10.0, 0.1, distance_mode="nope")
     for kappa in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="kappa"):
-            user_bep(1, ref_cbs, geom, kappa, 0.1)
+            set_bep(ref_cbs, geom, kappa, 0.1)
     # set_bep checks its arguments before choosing a bound: on a graph too
     # large for the exact bound, the argument errors come first.
     big = make_oversized_set()

@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scma_ntn import export_codebook_set
-from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, main
+from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, EXIT_OK, main
 
 from conftest import make_codebook_set, make_oversized_set
 
@@ -42,6 +46,16 @@ BAD_VALUES = {
     "config-percent-sign": (["analyze"], "[analysis]\nsnr_grid = 5%\n"),
     "config-default-section": (["assign"], "[DEFAULT]\nkappa = 5\n"),
     "config-default-section-and-link": (["assign"], "[DEFAULT]\nkappa = 5\n[link]\n"),
+    # SNRs whose noise level N0 = J / (K 10^(snr/10)) is 0 or infinite.
+    "analyze-snr-4000": (["analyze", "--snr-grid", "4000"], None),
+    "analyze-snr-minus-4000": (["analyze", "--snr-grid=-4000"], None),
+    "simulate-snr-4000": (["simulate", "--snr-grid", "4000"], None),
+    "design-snr-4000": (["design", "--population", "3", "--generations", "1", "--design-snr-db", "4000"], None),
+    # Path losses (c1^2 + c2^2)^(alpha/2) that overflow at the cell edge.
+    "analyze-alpha-5000": (["analyze", "--alpha", "5000"], None),
+    "analyze-c1-1e200": (["analyze", "--c1", "1e200"], None),
+    "simulate-alpha-5000": (["simulate", "--alpha", "5000"], None),
+    "simulate-c1-1e200": (["simulate", "--c1", "1e200"], None),
 }
 
 
@@ -288,3 +302,47 @@ def test_truncation_none_is_exact(tmp_path, reduced_cbs, capsys):
     assert tables["none"] == tables["e-star-j"]
     assert tables["none-flag"] == tables["e-star-j"]
     assert tables["none"] != tables["one"]
+
+
+# Float setting texts beside the valid ones: huge, tiny, zero, negative, non-finite or no number.
+ODD_FLOATS = ("4000", "-4000", "1e300", "-1e300", "0", "-1", "nan", "inf", "-inf", "strong")
+
+
+def float_text(lo, hi):
+    """A float setting as text: a valid value in [lo, hi] or an odd one."""
+    return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(ODD_FLOATS))
+
+
+@pytest.fixture(scope="module")
+def small_run_dir(tmp_path_factory):
+    """An output directory and a config that caps a simulation at 64 codewords per SNR point."""
+    path = tmp_path_factory.mktemp("small_run")
+    (path / "small.ini").write_text("[simulate]\nmax_symbols = 64\nbatch_size = 64\n")
+    return path
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["analyze", "simulate"]),
+    kappa=float_text(0.0, 20.0),
+    alpha=float_text(1.0, 6.0),
+    c1=float_text(0.1, 10.0),
+    snr_grid=st.lists(float_text(-10.0, 30.0), min_size=1, max_size=3).map(",".join),
+    iterations=st.integers(1, 8),
+    threads=st.integers(1, 2),
+)
+def test_float_settings_exit_0_or_3_with_one_line(
+    small_run_dir, codebook_file, command, kappa, alpha, c1, snr_grid, iterations, threads
+):
+    # The "--flag=value" form passes values such as "-1e300" through argparse verbatim.
+    argv = [command, "--codebook", codebook_file, "--config", str(small_run_dir / "small.ini")]
+    argv += ["--out", str(small_run_dir / "out"), f"--threads={threads}"]
+    argv += [f"--kappa={kappa}", f"--alpha={alpha}", f"--c1={c1}", f"--snr-grid={snr_grid}"]
+    if command == "simulate":
+        argv.append(f"--iterations={iterations}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG), (argv, code, err.getvalue())
+    if code == EXIT_CONFIG:
+        assert len(err.getvalue().strip().splitlines()) == 1 and "Traceback" not in err.getvalue(), argv

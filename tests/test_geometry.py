@@ -139,3 +139,12 @@ def test_validation_errors():
     for alpha in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="path-loss"):
             CellGeometry(pathloss_alpha=alpha)
+
+
+def test_path_loss_must_stay_in_float_range():
+    # (c1^2 + c2^2)^(alpha/2) overflows at the cell edge or underflows to 0 at the nadir.
+    for c1, alpha in ((1e200, 3.0), (1.0, 5000.0), (0.5, 5000.0), (1e-200, 3.0)):
+        with pytest.raises(ValueError, match="float range"):
+            CellGeometry(radius_ratio_c1=c1, pathloss_alpha=alpha)
+    geom = CellGeometry(radius_ratio_c1=1.0, pathloss_alpha=2000.0)  # 2^1000 at the edge: large but finite
+    assert pathloss_factor(geom, 0.0) == 1.0 and pathloss_factor(geom, 1.0) == 2.0**-500
