@@ -6,16 +6,14 @@ exponential over the per-RN fading powers turns the PEP into products of
 the Rician moment generating function evaluated at s_k/4 and s_k/3, where
 s_k is the per-RN effective SNR of the codeword difference.  Per-user bit
 error probabilities are union bounds over all transmit/detect codeword
-pairs, with the user's distance ratio replaced by its order-statistic mean
-(a quadrature mode that averages over the full ordered-distance density is
-available for comparison).
+pairs, with the user's distance ratio replaced by its order-statistic mean.
 
 Each s_k depends only on the d_k users on RN k, and a user's ordered pairs
 enter only through their difference vectors, so pairs with equal vectors
 are lumped into one class (variable merging, Kschischang, Frey & Loeliger
 2001): 8 classes instead of 12 pairs on the 4x6 reference design.  The exact
 bound contracts one MGF table per RN over the factor graph, batched over
-(user, gain, MGF term) so that one contraction serves a set_bep call;
+(user, MGF term) so that one contraction serves a set_bep call;
 numpy's einsum runs it on a greedy path cached per graph.
 A truncated bound (at most E* < J users in error) multiplies per-(RN, users)
 tables over each error support's classes, repeating the floating-point
@@ -37,7 +35,7 @@ from math import prod
 import numpy as np
 
 from .codebook import CodebookSet
-from .geometry import CellGeometry, expected_distance_ratio, ordered_distance_pdf
+from .geometry import CellGeometry, expected_distance_ratio
 
 __all__ = [
     "ErrorEvent",
@@ -58,8 +56,6 @@ _STACK_ELEMENTS = 1 << 21
 # Largest table, in elements, the exact bound may hold (an RN's MGF table or
 # an intermediate of its path); its batch chunks keep each step's arrays within it.
 _MAX_ELEMENTS = 1 << 24
-# Gauss-Legendre nodes of the quadrature distance mode.
-_QUAD_ORDER = 32
 # 10^x is a nonzero, finite float for |x| < 308.
 _MAX_DECADES = 308.0
 
@@ -231,12 +227,12 @@ def _lumped_pairs(cbs: CodebookSet):
 def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_star: int) -> np.ndarray:
     """Truncated union-bound numerators of every column of several sets, over error supports of at most e_star users.
 
-    sets share dims, and row u of gammas (J, G) holds the geometry gains of
-    the rank column u serves; returns (S, J, G).  RN k's MGF factor depends
-    only on the classes of the support's users on k, so one table per (RN,
-    users) serves every support.  A table of e_star users serves only the
-    support they form, which builds it at its users' gains; the smaller ones
-    are built one set at a time, at every gain.
+    sets share dims, and gammas (J,) holds the geometry gain of the rank each
+    column serves; returns (S, J).  RN k's MGF factor depends only on the
+    classes of the support's users on k, so one table per (RN, users) serves
+    every support.  A table of e_star users serves only the support they
+    form, which builds it at its users' gains; the smaller ones are built one
+    set at a time, at every gain.
 
     Sets with equal collision sets and pair classes share every support's
     table shapes and gather rows.  Such a group runs on a leading candidate
@@ -251,11 +247,11 @@ def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_sta
     runs BLAS ddot on each (set, gain) row as `w @ p` does; np.matmul would
     run gemv and move the last ulp.
     """
-    totals = np.zeros((len(sets),) + gammas.shape)
+    totals = np.zeros((len(sets), len(gammas)))
     j_users, m = sets[0].dims.j_users, sets[0].dims.m_order
     lumped = [_lumped_pairs(c) for c in sets]
     gains, gain_of = np.unique(gammas, return_inverse=True)
-    gain_of = gain_of.reshape(gammas.shape).tolist()
+    gain_of = gain_of.tolist()
     scale = n0 * gains
 
     groups = {}
@@ -284,7 +280,7 @@ def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_sta
             for support in combinations(range(j_users), size):
                 rows = np.add.outer(prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]).ravel()
                 prefix_rows[support] = rows
-                need = sorted({g for u in support for g in gain_of[u]})  # the gains its users need
+                need = sorted({gain_of[u] for u in support})  # the gains its users need
                 factors = []
                 for k, on_k in enumerate(on_rn):
                     users = tuple(u for u in support if u in on_k)
@@ -292,8 +288,8 @@ def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_sta
                         tail = tuple(classes[u] if u in users else 1 for u in support)
                         factors.append((k, users, (-1, 2, len(need)) + tail))
                 ones = np.ones((1, 2, len(need)) + (1,) * size)
-                # Each user's gains as flat indices into the support's (place, needed gain) dot products.
-                at = np.array([[i * len(need) + need.index(g) for g in gain_of[u]] for i, u in enumerate(support)])
+                # Each user's gain as a flat index into the support's (place, needed gain) dot products.
+                at = [i * len(need) + need.index(gain_of[u]) for i, u in enumerate(support)]
                 mult = float(m) ** (j_users - size)
                 plan.append((np.array(need), ones, factors, weights, rows, list(support), at, mult))
                 largest = max(largest, len(need) * (4 * prod(classes[u] for u in support) + weights.shape[1]))
@@ -309,7 +305,7 @@ def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_sta
                 (k, users): stack[..., lo:hi].reshape((len(batch), 2, gains.size) + tuple(classes[u] for u in users))
                 for (k, users), lo, hi in zip(keys, cells, cells[1:])
             }
-            sums = np.zeros((len(batch),) + gammas.shape)
+            sums = np.zeros((len(batch), j_users))
             for need, pep, factors, weights, rows, support, at, mult in plan:
                 for k, users, shape in factors:
                     if len(users) < e_star:
@@ -347,13 +343,13 @@ def _mgf_tables(vectors, keys, scale: np.ndarray, kappa: float) -> np.ndarray:
 def _exact_user_bep(cbs: CodebookSet, gammas: np.ndarray, kappa: float, n0: float) -> np.ndarray:
     """Exact union-bound numerators of every column, as one factor-graph contraction.
 
-    Row u of gammas (J, G) holds the geometry gains of the rank column u
-    serves; returns (J, G).  A user takes one of 1 + C values: 0 is "no
-    error" (weight M, 0 for the target), 1 + c is its lumped pair class c
-    (weight the class's pair count, its summed bit weights for the target).
-    RN k holds MGF(|sum_u d_u[k]|^2 / (N0 gamma c)) over its users' values,
-    with a leading batch axis Z = (target, gain, c in {4, 3}); the weighted sum of
-    the tables' product over all values is the enumeration at E* = J.  Each
+    gammas (J,) holds the geometry gain of the rank each column serves;
+    returns (J,).  A user takes one of 1 + C values: 0 is "no error" (weight
+    M, 0 for the target), 1 + c is its lumped pair class c (weight the
+    class's pair count, its summed bit weights for the target).  RN k holds
+    MGF(|sum_u d_u[k]|^2 / (N0 gamma_target c)) over its users' values, with
+    a leading batch axis Z = (target, c in {4, 3}); the weighted sum of the
+    tables' product over all values is the enumeration at E* = J.  Each
     user's weights are folded into the first RN it occupies; a user on no
     RN contributes their sum, an idle RN contributes 1.  Each chunk of Z is
     one numpy einsum on the cached path of _contraction_plan; the chunks
@@ -370,7 +366,7 @@ def _exact_user_bep(cbs: CodebookSet, gammas: np.ndarray, kappa: float, n0: floa
          for t in range(dims.j_users)]
     )
     if not rns:  # no RN carries a difference: every PEP is 1/12 + 1/4
-        return np.repeat(rest[:, None] / 3.0, gammas.shape[1], axis=1)
+        return rest / 3.0
 
     graph = f"{dims.k_resources}x{dims.j_users} graph (M = {m}, d_f = {max(map(len, rns))})"
     if len(placed) + 1 > len(string.ascii_letters):  # a label per placed user and one for the batch axis
@@ -390,7 +386,7 @@ def _exact_user_bep(cbs: CodebookSet, gammas: np.ndarray, kappa: float, n0: floa
             f"above the limit of {_MAX_ELEMENTS}; use a truncated bound"
         )
 
-    # |sum d|^2 tables and per-target folded weights, shared by every gain and both MGF terms.
+    # |sum d|^2 tables and per-target folded weights, shared by both MGF terms.
     abs2, folds, homed = [], [], set()
     for k, users in enumerate(collision):
         if not users:
@@ -402,9 +398,10 @@ def _exact_user_bep(cbs: CodebookSet, gammas: np.ndarray, kappa: float, n0: floa
         folds.append(np.stack([reduce(np.multiply.outer, f) for f in factors]))
         homed.update(users)
 
-    scale = (n0 * gammas[:, :, None] * np.array([4.0, 3.0])).reshape(-1)
-    target_of = np.repeat(np.arange(dims.j_users), scale.size // dims.j_users)
-    chunk = max(1, _MAX_ELEMENTS // held)
+    scale = (n0 * gammas[:, None] * np.array([4.0, 3.0])).reshape(-1)
+    target_of = np.repeat(np.arange(dims.j_users), 2)
+    # Every chunk's tables come on top of the |sum d|^2 tables and folds, which the call holds throughout.
+    chunk = max(1, (_MAX_ELEMENTS - sum(a.size + f.size for a, f in zip(abs2, folds))) // held)
     sums = np.empty(scale.size)
     for lo in range(0, scale.size, chunk):
         z = slice(lo, lo + chunk)
@@ -412,20 +409,8 @@ def _exact_user_bep(cbs: CodebookSet, gammas: np.ndarray, kappa: float, n0: floa
         tables = (rician_mgf(a / scale[z].reshape((-1,) + (1,) * a.ndim), kappa) * f[target_of[z]]
                   for a, f in zip(abs2, folds))
         sums[z] = np.einsum(subscripts, *tables, optimize=path)
-    m4, m3 = sums.reshape(gammas.shape + (2,)).transpose(2, 0, 1)
-    return rest[:, None] * (m4 / 12.0 + m3 / 4.0)
-
-
-def _distance_gains(j_rank: int, j_users: int, geom: CellGeometry, distance_mode: str):
-    """Geometry gains the PEP is evaluated at, and their weights in the bound."""
-    if distance_mode == "mean":
-        return np.array([_geometry_gain(geom, expected_distance_ratio(j_rank, j_users))]), np.array([1.0])
-    if distance_mode == "quadrature":
-        nodes, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-        x = 0.5 * (nodes + 1.0)
-        quad_w = 0.5 * w * ordered_distance_pdf(j_rank, j_users, x)
-        return np.array([_geometry_gain(geom, xi) for xi in x]), quad_w
-    raise ValueError(f"unknown distance_mode {distance_mode!r}")
+    m4, m3 = sums.reshape(-1, 2).T
+    return rest * (m4 / 12.0 + m3 / 4.0)
 
 
 def set_bep(
@@ -434,16 +419,14 @@ def set_bep(
     kappa: float,
     n0: float,
     truncation: int | None = None,
-    distance_mode: str = "mean",
 ):
     """Upper bounds on every user's BEP, each at its own distance rank: their mean, max and per-rank vector.
 
     Rank r (1-based) is served by column CodebookSet.columns_by_rank()[r - 1],
     as in the simulation.  truncation caps how many users' codewords may
     differ in an error event (E*); None means exact (E* = J), computed as a
-    factor-graph contraction.  distance_mode "mean" substitutes the
-    order-statistic mean distance ratio into the PEP, "quadrature" averages
-    the PEP over the ordered-distance density instead.  cbs is one
+    factor-graph contraction.  Each rank's PEP is taken at the
+    order-statistic mean of its distance ratio.  cbs is one
     CodebookSet, which returns one BepSummary, or a sequence of sets with
     equal dims, which returns a list of them: the truncated bound serves all
     sets that pair ranks with the same columns from one kernel call, the
@@ -460,8 +443,7 @@ def set_bep(
         raise ValueError("truncation must be >= 1")
     if not (np.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    gains = [_distance_gains(j_rank, j_users, geom, distance_mode) for j_rank in range(1, j_users + 1)]
-    gammas, weights = (np.array(a) for a in zip(*gains))
+    gammas = np.array([_geometry_gain(geom, expected_distance_ratio(r, j_users)) for r in range(1, j_users + 1)])
     by_columns = {}
     for s, c in enumerate(sets):
         by_columns.setdefault(tuple(c.columns_by_rank().tolist()), []).append(s)
@@ -472,7 +454,7 @@ def set_bep(
             totals = np.array([_exact_user_bep(sets[s], gammas[by_column], kappa, n0) for s in members])
         else:
             totals = _truncated_user_bep([sets[s] for s in members], gammas[by_column], kappa, n0, e_star)
-        per_user[members] = np.vecdot(totals, weights[by_column])[:, columns]
+        per_user[members] = totals[:, columns]
     per_user /= float(m) ** j_users * np.log2(m)
     summaries = [BepSummary(per_user=p) for p in per_user]
     return summaries[0] if isinstance(cbs, CodebookSet) else summaries

@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker threads of the BER sweep (>= 1; no effect on design)"
+            "--threads", type=int, default=1, help="worker threads of the BER sweep (>= 1; no effect on design or analyze)"
         )
         if command in ("analyze", "simulate"):
             p.add_argument("--codebook", required=True, help="codebook interchange file")

@@ -141,17 +141,18 @@ class MpaDetector:
                     total[k] += np.expand_dims(user_msg[k][i], axes)
                 for i, axes in enumerate(others):
                     rn_msg[k][i] = total[k].min(axis=axes) - user_msg[k][i]
-            for l in range(self.j_users):
-                edges = self.user_edges[l]
+            for edges in self.user_edges:
                 incoming = [rn_msg[k][pos] for k, pos in edges]
-                full = sum(incoming[1:], incoming[0])
+                full = sum(incoming[1:], incoming[0]) if edges else None
                 for (k, pos), msg in zip(edges, incoming):
                     ext = full - msg
                     user_msg[k][pos] = ext - ext.min(axis=0)
+        # A user on no RN keeps decision 0: its codewords all tie, and ML takes the lowest tuple.
         decisions = np.zeros((b, self.j_users), dtype=np.int64)
-        for l in range(self.j_users):
-            incoming = [rn_msg[k][pos] for k, pos in self.user_edges[l]]
-            decisions[:, l] = np.argmin(sum(incoming[1:], incoming[0]), axis=0)
+        for l, edges in enumerate(self.user_edges):
+            if edges:
+                incoming = [rn_msg[k][pos] for k, pos in edges]
+                decisions[:, l] = np.argmin(sum(incoming[1:], incoming[0]), axis=0)
         return decisions
 
     def _single_user_batch(self, y: np.ndarray, channel: np.ndarray) -> np.ndarray:

@@ -194,12 +194,11 @@ def _evaluate(population, cfg: GaConfig, space: DesignSpace):
     return [replace(c, fitness=worst.get(i, float("inf"))) for i, c in enumerate(population)]
 
 
-def run_ga(space: DesignSpace, cfg: GaConfig, initial=None) -> GaResult:
+def run_ga(space: DesignSpace, cfg: GaConfig) -> GaResult:
     """Generational GA with elitism; history of best fitness per generation.
 
-    With elitism >= 1 the history is non-increasing.  initial seeds the
-    first population (padded with uniform draws if short).  The returned
-    codebook set is rebuilt from the best-ever candidate.
+    With elitism >= 1 the history is non-increasing.  The returned codebook
+    set is rebuilt from the best-ever candidate.
     """
     rng = np.random.default_rng(cfg.seed)
     n_ops = space.n_operators
@@ -208,11 +207,7 @@ def run_ga(space: DesignSpace, cfg: GaConfig, initial=None) -> GaResult:
     lo_open[0] = np.nextafter(1.0, 2.0)
 
     pop_vecs = rng.uniform(lo_open, hi, size=(cfg.population, space.dimension))
-    seeded = list(initial or [])[: cfg.population]
-    candidates = seeded + [
-        Candidate.from_vector(v, n_ops) for v in pop_vecs[len(seeded) :]
-    ]
-    population = _evaluate(candidates, cfg, space)
+    population = _evaluate([Candidate.from_vector(v, n_ops) for v in pop_vecs], cfg, space)
 
     def tournament_pick():
         idx = rng.integers(0, len(population), TOURNAMENT)

@@ -36,7 +36,6 @@ class SimConfig:
     detector: str = "mpa"
     iterations: int = 8
     seed: int = 0
-    fixed_distance_ratios: tuple | None = None
     batch_size: int = 2048
     threads: int = 1
 
@@ -57,12 +56,6 @@ class SimConfig:
             raise ValueError("snr grid must be sorted ascending")
         if self.detector not in ("mpa", "ml"):
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.fixed_distance_ratios is not None and not all(
-            0.0 <= r <= 1.0 for r in self.fixed_distance_ratios
-        ):
-            raise ValueError(
-                f"fixed distance ratios must lie in [0, 1], got {self.fixed_distance_ratios}"
-            )
 
 
 @dataclass(frozen=True)
@@ -119,10 +112,7 @@ def _run_batch(cfg: SimConfig, cbs: CodebookSet, detect, n0: float, batch: int, 
     """
     dims = cbs.dims
     j_users, k, m_order = dims.j_users, dims.k_resources, dims.m_order
-    if cfg.fixed_distance_ratios is not None:
-        c2 = np.tile(np.sort(np.asarray(cfg.fixed_distance_ratios, dtype=float)), (batch, 1))
-    else:
-        c2 = np.sort(sample_radii((batch, j_users), rng), axis=1)
+    c2 = np.sort(sample_radii((batch, j_users), rng), axis=1)
     col_of_rank = cbs.columns_by_rank()
     tx_col = rng.integers(0, m_order, (batch, j_users))
     superposed = cbs.superimpose(tx_col)
@@ -149,8 +139,6 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
     """
     dims = cbs.dims
     j_users = dims.j_users
-    if cfg.fixed_distance_ratios is not None and len(cfg.fixed_distance_ratios) != j_users:
-        raise ValueError("fixed_distance_ratios must hold one ratio per user")
     bits_per = dims.bits_per_symbol
     detect = _make_detector(cfg, cbs)
     snr_grid = np.asarray(cfg.snr_grid_db, dtype=float)
@@ -159,6 +147,8 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
     n0s = [snr_db_to_n0(snr, dims) for snr in snr_grid]  # every point's N0 is checked before any runs
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        # One thread runs the batches on the calling thread, so no worker is started.
+        run = map if cfg.threads == 1 else pool.map
         for si, n0 in enumerate(n0s):
             symbols = 0
             errors = np.zeros(j_users, dtype=np.int64)
@@ -178,7 +168,7 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
                     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, si, batch_counter)))
                     wave.append((size, rng))
                     batch_counter += 1
-                results = list(pool.map(lambda w: _run_batch(cfg, cbs, detect, n0, *w), wave))
+                results = list(run(lambda w: _run_batch(cfg, cbs, detect, n0, *w), wave))
                 # Fold strictly in batch order and re-check the stopping rule per
                 # batch, so the outcome does not depend on the worker count.
                 for (size, _), res in zip(wave, results):

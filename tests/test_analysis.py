@@ -26,8 +26,8 @@ from scma_ntn import (
     snr_db_to_n0,
 )
 from scma_ntn.analysis import (
-    _distance_gains,
     _exact_user_bep,
+    _geometry_gain,
     _lumped_pairs,
     _truncated_user_bep,
     effective_snr_terms,
@@ -59,17 +59,38 @@ def irregular_sets(draw, k, layout):
     return CodebookSet.from_codebooks(books, SystemDims(k, len(layout), m, 1))
 
 
+# Distance ratios away from the rank means: the first and last nodes of the
+# 32-point Gauss-Legendre rule on [0, 1].
+OFF_MEAN_RATIOS = 0.5 * (np.polynomial.legendre.leggauss(32)[0][[0, -1]] + 1.0)
+
+
 def gains_of(cbs, mode):
+    """Geometry gains (J, G), a column per kernel call: "mean" is each rank's gain at its mean
+    distance ratio, "quadrature" every rank's gain at each of OFF_MEAN_RATIOS."""
     j_users = cbs.dims.j_users
-    return np.array([_distance_gains(t + 1, j_users, CellGeometry(), mode)[0] for t in range(j_users)])
+    if mode == "mean":
+        ratios = [[expected_distance_ratio(t + 1, j_users)] for t in range(j_users)]
+    else:
+        ratios = [OFF_MEAN_RATIOS] * j_users
+    return np.array([[_geometry_gain(CellGeometry(), c2) for c2 in row] for row in ratios])
 
 
-def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode=None, gammas=None):
-    """Every user's exact numerators from one contraction equal the enumeration's at E* = J."""
+def exact_columns(cbs, gammas, kappa, n0):
+    """The exact kernel at each gain column of gammas (J, G), one call per column: (J, G)."""
+    return np.column_stack([_exact_user_bep(cbs, g, kappa, n0) for g in gammas.T])
+
+
+def truncated_columns(sets, gammas, kappa, n0, e_star):
+    """The truncated kernel at each gain column of gammas (J, G), one call per column: (S, J, G)."""
+    return np.stack([_truncated_user_bep(sets, g, kappa, n0, e_star) for g in gammas.T], axis=-1)
+
+
+def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode):
+    """Every user's exact numerators from one contraction per gain equal the enumeration's at E* = J."""
     j_users = cbs.dims.j_users
     n0 = snr_db_to_n0(snr_db, cbs.dims)
-    gammas = gains_of(cbs, mode) if gammas is None else gammas
-    got = _exact_user_bep(cbs, gammas, kappa, n0)
+    gammas = gains_of(cbs, mode)
+    got = exact_columns(cbs, gammas, kappa, n0)
     for t in range(j_users):
         want = enumerate_user_bep(cbs, t, gammas[t], kappa, n0, max_users_in_error=j_users)
         assert np.all(np.abs(got[t] - want) <= 1e-12 * want), (t, got[t], want)
@@ -282,17 +303,16 @@ def test_contraction_matches_enumeration_on_irregular_graphs(k, layout, data, ka
 
 def test_contraction_lumps_the_reference_set(ref_cbs):
     # Every user's 12 ordered pairs fall into 8 classes of equal difference
-    # vectors.  The gains are the mean mode's and the first and last
-    # quadrature nodes.  The truncated kernel at E* = J repeats the
+    # vectors.  The gains are each rank's at its mean distance ratio and every
+    # rank's at OFF_MEAN_RATIOS.  The truncated kernel at E* = J repeats the
     # enumeration's arithmetic for every user in one call; the enumeration
     # takes about half a second per user and gain, so it stays the
     # independent oracle for one user, matched bit for bit.
     assert class_counts(ref_cbs) == [8] * 6
-    quadrature = gains_of(ref_cbs, "quadrature")
-    gammas = np.column_stack([gains_of(ref_cbs, "mean"), quadrature[:, 0], quadrature[:, -1]])
+    gammas = np.column_stack([gains_of(ref_cbs, "mean"), gains_of(ref_cbs, "quadrature")])
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
-    got = _exact_user_bep(ref_cbs, gammas, 10.0, n0)
-    want = _truncated_user_bep([ref_cbs], gammas, 10.0, n0, 6)[0]
+    got = exact_columns(ref_cbs, gammas, 10.0, n0)
+    want = truncated_columns([ref_cbs], gammas, 10.0, n0, 6)[0]
     assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
     assert np.array_equal(want[5], enumerate_user_bep(ref_cbs, 5, gammas[5], 10.0, n0, 6))
 
@@ -328,17 +348,20 @@ def test_contraction_with_idle_rn_absent_user_and_constant_user(mode):
 
 
 def test_contraction_in_batch_chunks_equals_one_chunk(ref_cbs, monkeypatch):
-    # Quadrature on 4x6 batches Z = 6 users x 32 gains x 2 MGF terms = 384
-    # entries.  Per entry, einsum's arguments hold the four RN tables of three
-    # users' values each throughout; its second step also holds the first
-    # step's product of four users' values, the reordered copies of that
-    # product and of a table, and its own product of three users' values.  So
-    # this limit splits Z into ten chunks of 37 entries and one of 14.
+    # 4x6 batches Z = 6 users x 2 MGF terms = 12 entries.  Per entry,
+    # einsum's arguments hold the four RN tables of three users' values each
+    # throughout; its second step also holds the first step's product of four
+    # users' values, the reordered copies of that product and of a table, and
+    # its own product of three users' values.  The call holds each RN's
+    # |sum d|^2 table and its six targets' folded weights beside them.  So
+    # this limit splits Z into two chunks of 5 entries and one of 2.
     size = 1 + max(class_counts(ref_cbs))
-    limit = 100 * size**4
+    limit = 17 * size**4
     rns = tuple(tuple(users) for users in ref_cbs.collision_sets())
-    assert analysis_mod._contraction_plan(rns, (size,) * 6, limit)[3] == 6 * size**3 + 2 * size**4
-    gammas = gains_of(ref_cbs, "quadrature")
+    held = analysis_mod._contraction_plan(rns, (size,) * 6, limit)[3]
+    assert held == 6 * size**3 + 2 * size**4
+    assert (limit - 4 * 7 * size**3) // held == 5
+    gammas = gains_of(ref_cbs, "mean")[:, 0]
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
     whole = _exact_user_bep(ref_cbs, gammas, 10.0, n0)
     monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", limit)
@@ -349,9 +372,9 @@ def test_contraction_keeps_its_traced_peak_within_the_limit(ref_cbs, monkeypatch
     # The batch chunk is sized so that the float64 arrays the call holds at
     # once stay within _MAX_ELEMENTS; the margin covers small temporaries.
     size = 1 + max(class_counts(ref_cbs))
-    limit = 100 * size**4
+    limit = 17 * size**4
     monkeypatch.setattr(analysis_mod, "_MAX_ELEMENTS", limit)
-    gammas = gains_of(ref_cbs, "quadrature")
+    gammas = gains_of(ref_cbs, "mean")[:, 0]
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
     _exact_user_bep(ref_cbs, gammas, 10.0, n0)  # plan cached outside the trace
     tracemalloc.start()
@@ -382,7 +405,7 @@ def assert_truncated_equals_enumeration(cbs, kappa, snr_db, mode, e_star, users=
     n0 = snr_db_to_n0(snr_db, cbs.dims)
     gammas = gains_of(cbs, mode)
     users = range(cbs.dims.j_users) if users is None else users
-    got = _truncated_user_bep([cbs], gammas, kappa, n0, e_star)[0, list(users)]
+    got = truncated_columns([cbs], gammas, kappa, n0, e_star)[0, list(users)]
     want = np.array([enumerate_user_bep(cbs, u, gammas[u], kappa, n0, e_star) for u in users])
     assert np.array_equal(got, want), (e_star, mode, got, want)
 
@@ -428,19 +451,21 @@ def random_generation(dims, size, seed):
 
 
 def assert_batch_equals_one_call_per_set_and_enumeration(sets, e_star, oracle_gains=("mean", 0, -1)):
-    """One set_bep call on sets equals a call per set, in mean and quadrature mode, bit for bit;
-    one batched kernel call equals the enumeration for one user per set, at the mean-mode
-    gain and at quadrature nodes given by index."""
+    """One set_bep call on sets equals a call per set, and so does one kernel call at every rank's
+    gain at OFF_MEAN_RATIOS, bit for bit; one batched kernel call per gain equals the enumeration
+    for one user per set, at the mean ratios' gains and at OFF_MEAN_RATIOS given by index."""
     dims = sets[0].dims
     n0 = snr_db_to_n0(12.0, dims)
-    for mode in ("mean", "quadrature"):
-        batch = set_bep(sets, CellGeometry(), 10.0, n0, truncation=e_star, distance_mode=mode)
-        for cbs, got in zip(sets, batch):
-            alone = set_bep(cbs, CellGeometry(), 10.0, n0, truncation=e_star, distance_mode=mode)
-            assert np.array_equal(got.per_user, alone.per_user), (e_star, mode)
-    mean, quadrature = gains_of(sets[0], "mean"), gains_of(sets[0], "quadrature")
-    gammas = np.column_stack([mean[:, 0] if g == "mean" else quadrature[:, g] for g in oracle_gains])
-    got = _truncated_user_bep(sets, gammas, 10.0, n0, e_star)
+    batch = set_bep(sets, CellGeometry(), 10.0, n0, truncation=e_star)
+    for cbs, got in zip(sets, batch):
+        alone = set_bep(cbs, CellGeometry(), 10.0, n0, truncation=e_star)
+        assert np.array_equal(got.per_user, alone.per_user), e_star
+    mean, off_mean = gains_of(sets[0], "mean"), gains_of(sets[0], "quadrature")
+    stacked = truncated_columns(sets, off_mean, 10.0, n0, e_star)
+    for s, cbs in enumerate(sets):
+        assert np.array_equal(stacked[s], truncated_columns([cbs], off_mean, 10.0, n0, e_star)[0]), (e_star, s)
+    gammas = np.column_stack([mean[:, 0] if g == "mean" else off_mean[:, g] for g in oracle_gains])
+    got = truncated_columns(sets, gammas, 10.0, n0, e_star)
     for s, cbs in enumerate(sets):
         u = s % dims.j_users
         want = enumerate_user_bep(cbs, u, gammas[u], 10.0, n0, e_star)
@@ -475,7 +500,7 @@ def test_truncated_batch_with_mixed_partitions(ref_cbs):
 
 def test_truncated_batch_in_chunks_equals_one_chunk(monkeypatch):
     sets = random_generation(SystemDims(4, 6, 4, 2), 5, seed=23)
-    gammas = gains_of(sets[0], "mean")
+    gammas = gains_of(sets[0], "mean")[:, 0]
     n0 = snr_db_to_n0(12.0, sets[0].dims)
     whole = _truncated_user_bep(sets, gammas, 10.0, n0, 3)
     # One set per chunk, then chunks of a few sets and a shorter last one.
@@ -571,19 +596,9 @@ def test_bound_keeps_index_order_of_an_ulp_power_tie(ref_cbs, geom):
     assert np.all(np.abs(set_bep(swapped, geom, 10.0, n0, truncation=2).per_user[:2] - tied[:2]) > 1e-6 * tied[:2])
 
 
-def test_user_bep_quadrature_mode_close_to_mean_mode(ref_cbs, geom):
-    n0 = snr_db_to_n0(16.0, ref_cbs.dims)
-    mean_mode = set_bep(ref_cbs, geom, 10.0, n0, truncation=2).per_user[2]
-    quad_mode = set_bep(ref_cbs, geom, 10.0, n0, truncation=2, distance_mode="quadrature").per_user[2]
-    assert quad_mode == pytest.approx(mean_mode, rel=0.5)
-    assert quad_mode != mean_mode
-
-
 def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
     with pytest.raises(ValueError, match="truncation must be >= 1"):
         set_bep(ref_cbs, geom, 10.0, 0.1, truncation=0)
-    with pytest.raises(ValueError, match="unknown distance_mode"):
-        set_bep(ref_cbs, geom, 10.0, 0.1, distance_mode="nope")
     for kappa in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="kappa"):
             set_bep(ref_cbs, geom, kappa, 0.1)
@@ -592,8 +607,6 @@ def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
     big = make_oversized_set()
     with pytest.raises(ValueError, match="truncation must be >= 1"):
         set_bep(big, geom, 10.0, 0.1, truncation=0)
-    with pytest.raises(ValueError, match="unknown distance_mode"):
-        set_bep(big, geom, 10.0, 0.1, distance_mode="nope")
     with pytest.raises(ValueError, match="share dims"):
         set_bep([ref_cbs, big], geom, 10.0, 0.1, truncation=1)
     assert set_bep([], geom, 10.0, 0.1) == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scma_ntn import export_codebook_set
+from scma_ntn import CodebookSet, export_codebook_set
 from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, EXIT_OK, main
 
 from conftest import make_codebook_set, make_oversized_set
@@ -282,6 +282,19 @@ def test_bad_value_exits_3_with_one_line(case, tmp_path, codebook_file, big_code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_simulate_with_a_user_on_no_rn_exits_0(tmp_path, small_run_dir, capsys):
+    # Zeroing user 2's codebook takes it off every RN; MPA then decides 0 for it, as ML does.
+    cbs = make_codebook_set(1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3))
+    books = cbs.codebooks.copy()
+    books[2] = 0.0
+    path = tmp_path / "zeroed.txt"
+    export_codebook_set(CodebookSet(codebooks=books, dims=cbs.dims), path)
+    argv = ["simulate", "--codebook", str(path), "--snr-grid", "10", "--config", str(small_run_dir / "small.ini")]
+    with pytest.warns(UserWarning, match="total power"):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (tmp_path / "out" / "ber.csv").is_file()
 
 
 def test_truncation_none_is_exact(tmp_path, reduced_cbs, capsys):

@@ -81,7 +81,7 @@ def test_mpa_equals_ml_on_tree_graph(reduced_cbs):
 
 @st.composite
 def tree_graph_receptions(draw):
-    """Receptions over a random tree factor graph, plus one RN no user occupies.
+    """Receptions over a random tree factor graph, plus one RN no user occupies and one user on no RN.
 
     The tree grows one leaf at a time: a new user on an RN holding fewer
     than three, or a new RN under an existing user.  Returns the codebook
@@ -104,6 +104,8 @@ def tree_graph_receptions(draw):
     for rn, users in enumerate(rn_users):
         for l in users:
             books[l, rn] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    books = np.insert(books, draw(st.integers(0, j)), 0.0, axis=0)  # an all-zero codebook has no edge
+    j += 1
     cbs = CodebookSet.from_codebooks(books, SystemDims(k, j, m, 1))
     batch = 200
     tx = rng.integers(0, m, (batch, j))
@@ -115,9 +117,11 @@ def tree_graph_receptions(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(tree_graph_receptions())
 def test_mpa_equals_ml_on_random_tree_graphs(case):
-    # max-log MPA is exact on a tree once messages have crossed its depth
+    # max-log MPA is exact on a tree once messages have crossed its depth; a user on no RN
+    # decides 0, as ML's lowest tuple does
     cbs, y, h, n0, depth = case
     ml = MlDetector(cbs).detect_batch(y, h)
+    assert np.any(~cbs.supports().any(axis=1))
     for iterations in (depth, depth + 3):
         assert np.array_equal(MpaDetector(cbs, iterations=iterations).detect_batch(y, h, n0), ml)
 

@@ -80,23 +80,6 @@ def test_fitness_infeasible_candidates(space):
     assert fitness(Candidate(delta=2.0, rhos=(0.5, 0.6, 1.2), thetas=(0, 0, 0)), cfg, space) == np.inf
 
 
-def test_degenerate_ga_returns_seeded_candidate(space):
-    cand = Candidate(delta=2.0, rhos=(0.4, 0.6, 0.8), thetas=(0.5, 1.0, 1.5))
-    cfg = GaConfig(
-        population=6,
-        generations=1,
-        design_snr_db=12.0,
-        kappa=10.0,
-        truncation=2,
-        mutation_rate=0.0,
-        crossover_rate=1.0,
-        seed=3,
-    )
-    result = run_ga(space, cfg, initial=[cand] * 6)
-    assert result.best.delta == cand.delta
-    assert result.best.rhos == cand.rhos and result.best.thetas == cand.thetas
-
-
 def test_ga_beats_equal_power_baseline(space):
     cfg = GaConfig(seed=1, **SMALL_GA)
     result = run_ga(space, cfg)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scma_ntn import CodebookSet, SimConfig, SystemDims, run_ber_sweep
+from scma_ntn import CellGeometry, CodebookSet, SimConfig, SystemDims, run_ber_sweep
 from scma_ntn.simulator import _make_detector, _run_batch
 
 
@@ -64,11 +64,6 @@ def test_allocate_farthest_gets_max_power(ref_cbs):
     assert errors[-1] == _ones(tx)[np.argmax(shuffled.traces())]
 
 
-def test_allocate_length_mismatch(ref_cbs):
-    with pytest.raises(ValueError):
-        run_ber_sweep(SimConfig(fixed_distance_ratios=(0.5, 0.5)), ref_cbs)
-
-
 def test_run_batch_deterministic(ref_cbs):
     cfg = SimConfig(kappa=10.0, snr_grid_db=(10.0,), seed=0)
     detect = _make_detector(cfg, ref_cbs)
@@ -79,19 +74,8 @@ def test_run_batch_deterministic(ref_cbs):
 
 
 def test_sweep_error_free_without_noise(ref_cbs):
-    cfg = SimConfig(
-        kappa=1e12, snr_grid_db=(60.0,), fixed_distance_ratios=(0.0,) * 6, max_symbols=500, batch_size=500
-    )
+    cfg = SimConfig(kappa=1e12, snr_grid_db=(60.0,), max_symbols=500, batch_size=500)
     assert run_ber_sweep(cfg, ref_cbs).errors.sum() == 0
-
-
-def test_fixed_distance_ratios_order_is_irrelevant(ref_cbs):
-    # the rank-r user is the r-th nearest, whatever order the ratios are given in
-    base = dict(kappa=10.0, snr_grid_db=(12.0,), max_symbols=2000, target_errors=10**6, batch_size=2000, seed=1)
-    ratios = (0.1, 0.2, 0.4, 0.6, 0.8, 0.95)
-    ascending = run_ber_sweep(SimConfig(fixed_distance_ratios=ratios, **base), ref_cbs)
-    reversed_ = run_ber_sweep(SimConfig(fixed_distance_ratios=ratios[::-1], **base), ref_cbs)
-    assert np.array_equal(ascending.errors, reversed_.errors)
 
 
 def test_sweep_error_free_at_extreme_snr(ref_cbs):
@@ -114,7 +98,9 @@ def test_sweep_deterministic_and_thread_invariant(ref_cbs):
 
 
 def test_sweep_symmetric_orthogonal_users():
-    # two users on disjoint RNs with equal power: rank BERs agree within noise
+    # two users on disjoint RNs with equal power: rank BERs agree within noise.  At c1 = 1000
+    # and alpha = 1 the path loss is 30 dB within 1e-6 anywhere in the cell, so the two ranks'
+    # link SNRs are equal: 6 dB.
     dims = SystemDims(2, 2, 4, 1)
     books = np.zeros((2, 2, 4), dtype=complex)
     row = np.array([-3.0, -1.0, 1.0, 3.0])
@@ -123,12 +109,12 @@ def test_sweep_symmetric_orthogonal_users():
     cbs = CodebookSet.from_codebooks(books, dims)
     cfg = SimConfig(
         kappa=10.0,
-        snr_grid_db=(6.0,),
+        geometry=CellGeometry(radius_ratio_c1=1000.0, pathloss_alpha=1.0),
+        snr_grid_db=(36.0,),
         max_symbols=40_000,
         target_errors=100_000,
         batch_size=10_000,
         seed=5,
-        fixed_distance_ratios=(0.0, 0.0),
     )
     res = run_ber_sweep(cfg, cbs)
     e0, e1 = res.errors[0]
@@ -194,7 +180,3 @@ def test_sim_config_validation():
         with pytest.raises(ValueError, match="finite"):
             SimConfig(snr_grid_db=grid)
     SimConfig(kappa=0.0)
-    for bad in (5.0, 1.5, -0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            SimConfig(fixed_distance_ratios=(0.5,) * 5 + (bad,))
-    SimConfig(fixed_distance_ratios=(0.0,) * 3 + (1.0,) * 3)
