@@ -1,58 +1,95 @@
-"""Downlink multiuser detection at a single receiver.
+"""Downlink multiuser detection at a single receiver, joint over the M^J codeword tuples.
 
-All layers reach a receiver through the same channel vector, so detection
-is joint over the M^J codeword tuples.  Two detectors are provided: an
-exhaustive maximum-likelihood search (the oracle) and an iterative max-log
-message passing algorithm (MPA) over the sparse factor graph, which is the
-workhorse for Monte Carlo sweeps.  Both operate on batches for speed.
+Exact ML by min-sum elimination and iterative max-log message passing (MPA, the
+workhorse of Monte Carlo sweeps), both over the sparse factor graph and both
+from the same per-RN cost tables, with the batch on the last axis.
 """
 
 import numpy as np
 
 from .codebook import CodebookSet
 
-__all__ = ["MlDetector", "MpaDetector", "MAX_JOINT_TUPLES"]
+__all__ = ["MlDetector", "MpaDetector"]
 
-MAX_JOINT_TUPLES = 17_000_000
+# Entries in the largest table of an elimination chunk; more for one reception is refused.
+_MAX_ELEMENTS = 1 << 20
+
+
+def _local_tables(codebooks: np.ndarray, rn_users: list) -> list:
+    """Per-RN superpositions over the M^{d_k} collision hypotheses, first user leading, then a unit batch axis."""
+    m = codebooks.shape[2]
+    local = []
+    for k, users in enumerate(rn_users):
+        tab = np.zeros((m,) * len(users), dtype=complex)
+        for i, l in enumerate(users):
+            tab = tab + codebooks[l, k, :].reshape([m if a == i else 1 for a in range(len(users))])
+        local.append(tab[..., None])
+    return local
+
+
+def _rn_costs(local: list, y: np.ndarray, channel: np.ndarray, n0: float) -> list:
+    """Per-RN costs |y_k - h_k s|^2 / n0 of (B, K) receptions, each of shape local[k].shape[:-1] + (B,)."""
+    y, channel = np.ascontiguousarray(y.T), np.ascontiguousarray(channel.T)  # (K, B)
+    resid = (y[k] - channel[k] * tab for k, tab in enumerate(local))
+    return [(r.real**2 + r.imag**2) / n0 for r in resid]
+
+
+def _in_chunks(detect, step: int, y: np.ndarray, channel: np.ndarray, *args) -> np.ndarray:
+    """detect(y, channel, *args) over row chunks of at most step receptions, concatenated."""
+    if y.shape[0] <= step:
+        return detect(y, channel, *args)
+    return np.concatenate([detect(y[lo : lo + step], channel[lo : lo + step], *args) for lo in range(0, len(y), step)])
 
 
 class MlDetector:
-    """Exhaustive joint ML detection over all M^J codeword tuples.
+    """Exact joint ML detection by min-sum elimination over the factor graph.
 
-    Tuple t encodes (m_1, ..., m_J) in mixed radix with user 1 most
-    significant; argmin ties resolve to the lowest t.
+    ||y - h s||^2 sums per-RN costs |y_k - h_k s_k|^2 over the d_k users on
+    each RN, so bucket elimination (Dechter 1999) finds its minimum: for u =
+    J-1, ..., 0 the tables holding u are summed over their users' union (axes
+    in descending user order, so u leads) and minimized over u.  Backtracking
+    from user 0 decides u as the first-occurrence argmin of that sum, re-added
+    in the forward order at the users already decided, so ties go to the
+    lexicographically lowest tuple, an exhaustive search's lowest joint index.
+    A user on no RN decides 0.  The guard: one reception's largest table,
+    M^|union|, may not exceed _MAX_ELEMENTS; the batch runs in chunks within it.
     """
 
     def __init__(self, cbs: CodebookSet):
-        j, k, m = cbs.codebooks.shape
-        if m**j > MAX_JOINT_TUPLES:
-            raise ValueError(f"M^J = {m**j} exceeds the enumerable guard {MAX_JOINT_TUPLES}")
-        self.m_order = m
-        self.j_users = j
-        table = np.zeros((1, k), dtype=complex)
-        for l in range(j):
-            table = (table[:, None, :] + cbs.codebooks[l].T[None, :, :]).reshape(-1, k)
-        self.table = table.T.copy()  # (K, M^J)
-        self.table2 = self.table.real**2 + self.table.imag**2
+        self.j_users, _, m = cbs.codebooks.shape
+        rn_users = cbs.collision_sets()
+        # Users of table f, descending: RN k's cost is table k, step i's minimum is table K + i.
+        scopes = {k: tuple(reversed(users)) for k, users in enumerate(rn_users) if users}
+        self.steps = []  # (u, [(table, its shape over the union, its users below u)])
+        for u in range(self.j_users - 1, -1, -1):
+            bucket = {f: scopes.pop(f) for f in [f for f, scope in scopes.items() if u in scope]}
+            if bucket:
+                union = sorted(set().union(*bucket.values()), reverse=True)
+                shapes = [tuple(m if v in s else 1 for v in union) for s in bucket.values()]
+                self.steps.append((u, [(f, shape, s[1:]) for (f, s), shape in zip(bucket.items(), shapes)]))
+                scopes[len(rn_users) + len(self.steps) - 1] = tuple(union[1:])
+        largest = max([m ** len(bucket[0][1]) for _, bucket in self.steps], default=1)
+        if largest > _MAX_ELEMENTS:
+            raise ValueError(f"ML detection needs {largest} table entries per reception, above {_MAX_ELEMENTS}")
+        self.step = _MAX_ELEMENTS // largest
+        self.local = [tab[..., 0].T[..., None] for tab in _local_tables(cbs.codebooks, rn_users)]
 
     def detect_batch(self, y: np.ndarray, channel: np.ndarray) -> np.ndarray:
-        """Joint decisions for a batch: (B, K) inputs -> (B, J) indices.
+        """Joint decisions for a batch: (B, K) inputs -> (B, J) indices."""
+        return _in_chunks(self._detect_chunk, self.step, np.atleast_2d(y), np.atleast_2d(channel))
 
-        ||y - h s||^2 expands to const - 2 Re(<conj(y) h, s>) + <|h|^2, |s|^2>,
-        so the search is two matrix products against the tuple table, taken
-        over row blocks that keep each block's cost matrix near 2^21 entries.
-        """
-        y = np.atleast_2d(y)
-        channel = np.atleast_2d(channel)
-        best_idx = np.zeros(y.shape[0], dtype=np.int64)
-        step = max(1, (1 << 21) // self.table.shape[1])
-        for lo in range(0, y.shape[0], step):
-            hi = min(lo + step, y.shape[0])
-            u = np.conj(y[lo:hi]) * channel[lo:hi]
-            w = channel[lo:hi].real**2 + channel[lo:hi].imag**2
-            cost = w @ self.table2 - 2.0 * (u @ self.table).real
-            best_idx[lo:hi] = np.argmin(cost, axis=1)
-        return np.stack(np.unravel_index(best_idx, (self.m_order,) * self.j_users), axis=1)
+    def _detect_chunk(self, y: np.ndarray, channel: np.ndarray) -> np.ndarray:
+        b = y.shape[0]
+        tables = _rn_costs(self.local, y, channel, 1.0)
+        for _, bucket in self.steps:
+            parts = [tables[f].reshape(shape + (b,)) for f, shape, _ in bucket]
+            tables.append(sum(parts[1:], parts[0]).min(axis=0))
+        decisions = np.zeros((b, self.j_users), dtype=np.int64)
+        rows = np.arange(b)
+        for u, bucket in reversed(self.steps):
+            sums = [tables[f][(slice(None), *decisions[:, list(below)].T, rows)] for f, _, below in bucket]
+            decisions[:, u] = np.argmin(sum(sums[1:], sums[0]), axis=0)
+        return decisions
 
 
 class MpaDetector:
@@ -60,76 +97,38 @@ class MpaDetector:
 
     Works in the negative log domain (min-sum), which is underflow-free;
     messages are normalized to min zero each pass.  iterations = 0 degrades
-    to per-user single-layer demapping that ignores interference.
-
-    Every tensor carries the batch as its last, contiguous axis: the cost of
-    an RN with d colliding users is (M,)*d + (B,) and each message is (M, B),
-    so the min over the other users' axes runs over leading axes.  Decisions
-    are bit-identical to the same algorithm with the batch leading (kept in
-    tests/test_detection.py as the reference), which holds only while two
-    things stay as they are: the order of every floating-point addition
-    (cost + u_0 + u_1 + ..., beliefs summed over the edges in user_edges
-    order, ext - ext.min), and the operand order of the complex product in
-    the residual, channel * local (numpy's complex multiply is not bitwise
-    commutative).
+    to per-user single-layer demapping that ignores interference.  An RN's
+    cost is (M,)*d + (B,) and each message (M, B).  Decisions are
+    bit-identical to the batch-leading reference in tests/test_detection.py
+    only while every floating-point addition keeps its order (cost + u_0 +
+    u_1 + ..., beliefs summed over the edges in user_edges order, ext -
+    ext.min) and the residual keeps channel * local (numpy's complex multiply
+    is not bitwise commutative).
     """
 
     def __init__(self, cbs: CodebookSet, iterations: int = 8):
         if iterations < 0:
             raise ValueError("iterations must be >= 0")
         self.iterations = iterations
-        self.m_order = cbs.dims.m_order
-        self.j_users, self.k_resources, _ = cbs.codebooks.shape
+        self.j_users, _, self.m_order = cbs.codebooks.shape
         self.codebooks = cbs.codebooks
         self.rn_users = cbs.collision_sets()
-        self.user_edges = [[] for _ in range(self.j_users)]  # (k, position in rn_users[k])
-        for k, users in enumerate(self.rn_users):
-            for pos, l in enumerate(users):
-                self.user_edges[l].append((k, pos))
-        # Per-RN local superpositions over the M^{d_k} collision hypotheses,
-        # first colliding user on the leading axis, with a trailing unit axis
-        # that broadcasts against the batch.
-        self.local = []
-        for k, users in enumerate(self.rn_users):
-            d = len(users)
-            tab = np.zeros((self.m_order,) * d, dtype=complex) if d else np.zeros((), dtype=complex)
-            for i, l in enumerate(users):
-                shape = [1] * d
-                shape[i] = self.m_order
-                tab = tab + self.codebooks[l, k, :].reshape(shape)
-            self.local.append(tab[..., None])
-        # Per RN and colliding user i, the other users' axes: the RN-to-user
-        # message minimizes over them, and user i's message broadcasts along them.
-        self.other_axes = [
-            [tuple(a for a in range(len(users)) if a != i) for i in range(len(users))]
-            for users in self.rn_users
+        self.user_edges = [  # (k, position in rn_users[k])
+            [(k, users.index(l)) for k, users in enumerate(self.rn_users) if l in users] for l in range(self.j_users)
         ]
+        self.local = _local_tables(self.codebooks, self.rn_users)
+        # Per RN and colliding user i, the other users' axes: the message to i minimizes over them.
+        self.other_axes = [[tuple(a for a in range(len(us)) if a != i) for i in range(len(us))] for us in self.rn_users]
 
     def detect_batch(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
-        y = np.atleast_2d(y)
-        channel = np.atleast_2d(channel)
+        y, channel = np.atleast_2d(y), np.atleast_2d(channel)
         if self.iterations == 0:
             return self._single_user_batch(y, channel)
-        # Chunk for cache locality; message tensors grow as B * M^d_k.
-        step = 2048
-        if y.shape[0] <= step:
-            return self._detect_chunk(y, channel, n0)
-        return np.concatenate(
-            [
-                self._detect_chunk(y[lo : lo + step], channel[lo : lo + step], n0)
-                for lo in range(0, y.shape[0], step)
-            ]
-        )
+        return _in_chunks(self._detect_chunk, 2048, y, channel, n0)  # message tensors grow as B * M^d_k
 
     def _detect_chunk(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
-        b = y.shape[0]
-        m = self.m_order
-        y = np.ascontiguousarray(y.T)  # (K, B)
-        channel = np.ascontiguousarray(channel.T)
-        cost = []
-        for k in range(self.k_resources):
-            resid = y[k] - channel[k] * self.local[k]
-            cost.append((resid.real**2 + resid.imag**2) / n0)
+        b, m = y.shape[0], self.m_order
+        cost = _rn_costs(self.local, y, channel, n0)
         # Scratch buffer per RN for the cost plus the incoming user messages.
         total = [np.empty_like(c) for c in cost]
         rn_msg = [[np.zeros((m, b)) for _ in users] for users in self.rn_users]

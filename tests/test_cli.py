@@ -14,7 +14,7 @@ from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, EXIT_OK, main
 
 from conftest import make_codebook_set, make_oversized_set
 
-# Stands for a file holding conftest.make_oversized_set(), too large for the exact bound.
+# Stands for a file holding conftest.make_oversized_set(), too large for the exact bound and ML detection.
 BIG = "<6x20 codebook>"
 
 # Each bad value must end in exit 3 with a one-line message; None is no config file.
@@ -38,6 +38,7 @@ BAD_VALUES = {
     "compare-target-ber-0": (["compare", "--target-ber", "0"], None),
     "analyze-exact-6x20": (["analyze", "--truncation", "none", "--codebook", BIG], None),
     "compare-exact-6x20": (["compare", "--truncation", "none", "--codebook", BIG, "--codebook", BIG], None),
+    "simulate-ml-6x20": (["simulate", "--detector", "ml", "--codebook", BIG], None),
     "design-negative-seed": (["design", "--seed", "-1"], None),
     "simulate-negative-seed": (["simulate", "--seed", "-1"], None),
     "config-no-section-header": (["analyze"], "truncation = 2\n"),
@@ -285,16 +286,18 @@ def test_bad_value_exits_3_with_one_line(case, tmp_path, codebook_file, big_code
 
 
 def test_simulate_with_a_user_on_no_rn_exits_0(tmp_path, small_run_dir, capsys):
-    # Zeroing user 2's codebook takes it off every RN; MPA then decides 0 for it, as ML does.
+    # Zeroing user 2's codebook takes it off every RN; both detectors then decide 0 for it.
     cbs = make_codebook_set(1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3))
     books = cbs.codebooks.copy()
     books[2] = 0.0
     path = tmp_path / "zeroed.txt"
     export_codebook_set(CodebookSet(codebooks=books, dims=cbs.dims), path)
     argv = ["simulate", "--codebook", str(path), "--snr-grid", "10", "--config", str(small_run_dir / "small.ini")]
-    with pytest.warns(UserWarning, match="total power"):
-        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
-    assert (tmp_path / "out" / "ber.csv").is_file()
+    for detector in ("mpa", "ml"):
+        out = tmp_path / detector
+        with pytest.warns(UserWarning, match="total power"):
+            assert main(argv + ["--detector", detector, "--out", str(out)]) == EXIT_OK
+        assert (out / "ber.csv").is_file()
 
 
 def test_truncation_none_is_exact(tmp_path, reduced_cbs, capsys):
@@ -343,16 +346,17 @@ def small_run_dir(tmp_path_factory):
     snr_grid=st.lists(float_text(-10.0, 30.0), min_size=1, max_size=3).map(",".join),
     iterations=st.integers(1, 8),
     threads=st.integers(1, 2),
+    detector=st.sampled_from(["mpa", "ml"]),
 )
 def test_float_settings_exit_0_or_3_with_one_line(
-    small_run_dir, codebook_file, command, kappa, alpha, c1, snr_grid, iterations, threads
+    small_run_dir, codebook_file, command, kappa, alpha, c1, snr_grid, iterations, threads, detector
 ):
     # The "--flag=value" form passes values such as "-1e300" through argparse verbatim.
     argv = [command, "--codebook", codebook_file, "--config", str(small_run_dir / "small.ini")]
     argv += ["--out", str(small_run_dir / "out"), f"--threads={threads}"]
     argv += [f"--kappa={kappa}", f"--alpha={alpha}", f"--c1={c1}", f"--snr-grid={snr_grid}"]
     if command == "simulate":
-        argv.append(f"--iterations={iterations}")
+        argv += [f"--iterations={iterations}", f"--detector={detector}"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(argv)

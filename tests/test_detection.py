@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scma_ntn import CellGeometry, CodebookSet, SimConfig, SystemDims, pathloss_factor, sample_rician, snr_db_to_n0
-from scma_ntn.detection import MAX_JOINT_TUPLES, MlDetector, MpaDetector
+from scma_ntn import detection
+from scma_ntn.detection import MlDetector, MpaDetector
 from scma_ntn.simulator import _run_batch
+
+from conftest import make_codebook_set, small_sets
+from ml_oracle import exhaustive_ml
 
 
 def _received_batch(cbs, snr_db, batch, seed, kappa=10.0):
@@ -50,6 +54,90 @@ def test_ml_tie_break_lowest_joint_index():
     second = MlDetector(cbs).detect_batch(y, h)
     assert np.array_equal(first, second)
     assert first[0, 0] == 0
+    assert np.array_equal(first, exhaustive_ml(cbs, y, h))
+
+
+def _ties_are_exact(cbs):
+    """Whether tuples whose superpositions agree to 1e-9 agree bit for bit.
+
+    Two tuples that superimpose to the same signal in exact arithmetic, but
+    through sums that round differently, tie only to within an ulp; then the
+    exhaustive search and the elimination, which round their costs
+    differently, may each take either tuple.
+    """
+    j = cbs.dims.j_users
+    s = cbs.superimpose(np.indices((cbs.dims.m_order,) * j).reshape(j, -1).T)
+    return len(np.unique(s, axis=0)) == len(np.unique(np.round(s, 9), axis=0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_sets(), st.floats(-5.0, 30.0), st.integers(0, 2**32 - 1))
+def test_ml_elimination_equals_exhaustive_on_small_sets(cbs, snr_db, seed):
+    assume(_ties_are_exact(cbs))
+    tx, y, h, n0 = _received_batch(cbs, snr_db, 256, seed)
+    assert np.array_equal(MlDetector(cbs).detect_batch(y, h), exhaustive_ml(cbs, y, h))
+
+
+def test_ml_elimination_on_ulp_ties_decides_an_equal_superposition():
+    # equal operators on two groups: 4 pairs of the 64 superpositions agree only to within an ulp
+    ops = (0.2660077631765495, 0.9272353413031686, 0.9272353413031686)
+    cbs = make_codebook_set(1.9, ops, ops, SystemDims(4, 6, 2, 2))
+    assert not _ties_are_exact(cbs)
+    tx, y, h, n0 = _received_batch(cbs, 8.0, 2000, seed=12)
+    got, want = MlDetector(cbs).detect_batch(y, h), exhaustive_ml(cbs, y, h)
+    assert np.allclose(cbs.superimpose(got), cbs.superimpose(want), rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def irregular_receptions(draw):
+    """Receptions over a random irregular factor graph with random codewords.
+
+    Each user sits on a random subset of the RNs, and one user on none.  The
+    tie cases make costs tie exactly: antipodal codebooks (codeword m ^ 1 is
+    minus codeword m) received as y = 0, and codeword 1 repeating codeword 0.
+    """
+    m = draw(st.sampled_from([2, 4]))
+    j, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on = rng.random((j, k)) < draw(st.floats(0.2, 0.9))
+    on[draw(st.integers(0, j - 1))] = False
+    books = (rng.standard_normal((j, k, m)) + 1j * rng.standard_normal((j, k, m))) * on[..., None]
+    tie = draw(st.sampled_from(["none", "antipodal", "repeated"]))
+    if tie == "antipodal":
+        books[..., 1::2] = -books[..., 0::2]
+    elif tie == "repeated":
+        books[..., 1] = books[..., 0]
+    cbs = CodebookSet(codebooks=books, dims=SystemDims(k, j, m, 1))
+    batch = 64
+    tx = rng.integers(0, m, (batch, j))
+    h, w = (rng.standard_normal((2, batch, k)) + 1j * rng.standard_normal((2, batch, k))) / np.sqrt(2)
+    y = np.zeros_like(h) if tie == "antipodal" else h * cbs.superimpose(tx) + draw(st.floats(0.01, 1.0)) * w
+    return cbs, y, h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(irregular_receptions())
+def test_ml_elimination_equals_exhaustive_on_irregular_graphs(case):
+    cbs, y, h = case
+    got = MlDetector(cbs).detect_batch(y, h)
+    assert np.array_equal(got, exhaustive_ml(cbs, y, h))
+    assert np.all(got[:, ~cbs.supports().any(axis=1)] == 0)
+
+
+def _cost(cbs, y, h, decided):
+    return np.sum(np.abs(y - h * cbs.superimpose(decided)) ** 2, axis=1)
+
+
+def test_ml_detects_on_5x10():
+    # 4^10 tuples are too many for the oracle in a unit test, so the certificate is that
+    # no known tuple (the one sent, MPA's decision) costs less than the one decided
+    cbs = make_codebook_set(1.5, (0.25, 0.5, 0.75, 1.0), (0.0, 0.8, 1.6, 2.4), SystemDims(5, 10, 4, 2))
+    tx, y, h, n0 = _received_batch(cbs, 10.0, 64, seed=13)
+    got = MlDetector(cbs).detect_batch(y, h)
+    mpa = MpaDetector(cbs, iterations=8).detect_batch(y, h, n0)
+    assert got.shape == (64, 10)
+    assert np.all(_cost(cbs, y, h, got) <= _cost(cbs, y, h, tx))
+    assert np.all(_cost(cbs, y, h, got) <= _cost(cbs, y, h, mpa))
 
 
 def test_ml_low_error_rate_at_high_snr(ref_cbs):
@@ -232,12 +320,13 @@ def test_detection_invariant_common_scaling(ref_cbs):
 
 
 def test_ml_guard_on_huge_joint_space():
+    # all 13 users on RN 0: eliminating any of them needs a 4^13-entry table per reception
     dims = SystemDims(3, 13, 4, 1)
     books = np.zeros((13, 3, 4), dtype=complex)
     books[:, 0, :] = np.linspace(1, 2, 52).reshape(13, 4)
     cbs = CodebookSet.from_codebooks(books, dims)
-    assert 4**13 > MAX_JOINT_TUPLES
-    with pytest.raises(ValueError):
+    assert 4**13 > detection._MAX_ELEMENTS
+    with pytest.raises(ValueError, match="table entries per reception"):
         MlDetector(cbs)
 
 
