@@ -15,10 +15,12 @@ are lumped into one class (variable merging, Kschischang, Frey & Loeliger
 bound contracts one MGF table per RN over the factor graph, batched over
 (user, MGF term) so that one contraction serves a set_bep call;
 numpy's einsum runs it on a greedy path cached per graph.
-A truncated bound (at most E* < J users in error) multiplies per-(RN, users)
-tables over each error support's classes, repeating the floating-point
-operations of the row-by-row enumeration the tests keep as the oracle; given
-several sets (a GA generation), it runs them on a leading candidate axis.
+A truncated bound (at most E* < J users in error) runs one error support at
+a time: it multiplies per-(RN, users) tables, taken at the gains of the
+support's users, over their classes, repeating the floating-point operations
+of the row-by-row enumeration the tests keep as the oracle.  Given several
+sets (a GA generation), it runs them on a leading candidate axis, each set at
+its own columns' gains.
 
 SNR convention used throughout (analysis and simulation share one axis):
 the codebook set carries total power J*M over M codeword uses and K RNs,
@@ -46,7 +48,6 @@ __all__ = [
     "effective_snr_terms",
     "pep",
     "set_bep",
-    "write_bep_csv",
 ]
 
 _CHUNK = 1 << 17
@@ -224,15 +225,15 @@ def _lumped_pairs(cbs: CodebookSet):
     return vectors, inverse, np.array([bin(x).count("1") for x in a ^ b], dtype=float)
 
 
-def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_star: int) -> np.ndarray:
+def _truncated_user_bep(sets, gains: np.ndarray, kappa: float, n0: float, e_star: int) -> np.ndarray:
     """Truncated union-bound numerators of every column of several sets, over error supports of at most e_star users.
 
-    sets share dims, and gammas (J,) holds the geometry gain of the rank each
-    column serves; returns (S, J).  RN k's MGF factor depends only on the
-    classes of the support's users on k, so one table per (RN, users) serves
-    every support.  A table of e_star users serves only the support they
-    form, which builds it at its users' gains; the smaller ones are built one
-    set at a time, at every gain.
+    sets share dims, and gains (S, J) holds each set's geometry gain of the
+    rank each column serves; returns (S, J).  RN k's MGF factor depends only
+    on the classes of the support's users on k, so one table per (RN, users)
+    serves every support.  The tables of fewer than e_star users are built
+    once per set, at every column's gain; a table of e_star users serves only
+    the support they form, which builds it at its users' gains.
 
     Sets with equal collision sets and pair classes share every support's
     table shapes and gather rows.  Such a group runs on a leading candidate
@@ -244,14 +245,12 @@ def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_sta
     to ordered-pair order and summed in _CHUNK slices, and each column adds
     up its supports in the enumeration's order, so every set's result equals
     the enumeration's bit for bit.  Each slice is summed by np.vecdot, which
-    runs BLAS ddot on each (set, gain) row as `w @ p` does; np.matmul would
+    runs BLAS ddot on each (set, place) row as `w @ p` does; np.matmul would
     run gemv and move the last ulp.
     """
-    totals = np.zeros((len(sets), len(gammas)))
+    totals = np.zeros(gains.shape)
     j_users, m = sets[0].dims.j_users, sets[0].dims.m_order
     lumped = [_lumped_pairs(c) for c in sets]
-    gains, gain_of = np.unique(gammas, return_inverse=True)
-    gain_of = gain_of.tolist()
     scale = n0 * gains
 
     groups = {}
@@ -261,65 +260,49 @@ def _truncated_user_bep(sets, gammas: np.ndarray, kappa: float, n0: float, e_sta
         vectors, inverse, bits = lumped[members[0]]
         classes = [len(v) for v in vectors]
         on_rn = [{int(u) for u in users} for users in collision]
-        # The tables of each (RN, fewer than e_star users on it) at every gain, one set at a time.
-        # A table of e_star users serves only the support they form, so that support builds it at
-        # its users' gains.
         keys = [
             (k, us) for k, on_k in enumerate(on_rn) for n in range(e_star - 1) for us in combinations(sorted(on_k), n + 1)
         ]
         cells = np.cumsum([0] + [prod(classes[u] for u in users) for _, users in keys])
-
-        # Supports run by size, then in lexicographic order, which is each column's enumeration order.
-        plan, largest = [], 0
-        prefix_rows = {(): 0}  # each support's enumeration rows, as flat indices into its class tuples
-        for size in range(1, e_star + 1):
-            # The bit weights of the ordered-pair rows, by the erring user's place in the support.
-            weights = np.array(
-                [np.repeat(np.tile(bits, bits.size**i), bits.size ** (size - 1 - i)) for i in range(size)]
-            )
-            for support in combinations(range(j_users), size):
-                rows = np.add.outer(prefix_rows[support[:-1]] * classes[support[-1]], inverse[support[-1]]).ravel()
-                prefix_rows[support] = rows
-                need = sorted({gain_of[u] for u in support})  # the gains its users need
-                factors = []
-                for k, on_k in enumerate(on_rn):
-                    users = tuple(u for u in support if u in on_k)
-                    if users:
-                        tail = tuple(classes[u] if u in users else 1 for u in support)
-                        factors.append((k, users, (-1, 2, len(need)) + tail))
-                ones = np.ones((1, 2, len(need)) + (1,) * size)
-                # Each user's gain as a flat index into the support's (place, needed gain) dot products.
-                at = [i * len(need) + need.index(gain_of[u]) for i, u in enumerate(support)]
-                mult = float(m) ** (j_users - size)
-                plan.append((np.array(need), ones, factors, weights, rows, list(support), at, mult))
-                largest = max(largest, len(need) * (4 * prod(classes[u] for u in support) + weights.shape[1]))
-
-        chunk = max(1, _STACK_ELEMENTS // (2 * gains.size * int(cells[-1]) + largest))
+        # The bit weights of the ordered-pair rows of a support of each size, by the erring user's place.
+        weights = [
+            np.array([np.repeat(np.tile(bits, bits.size**i), bits.size ** (size - 1 - i)) for i in range(size)])
+            for size in range(1, e_star + 1)
+        ]
+        # Per set: the shared tables, and the largest support's product of tables and its gathered PEP.
+        support_pep = e_star * (4 * max(classes) ** e_star + weights[-1].shape[1])
+        chunk = max(1, _STACK_ELEMENTS // (2 * j_users * int(cells[-1]) + support_pep))
         for first in range(0, len(members), chunk):
             batch = members[first : first + chunk]
             stacked = [np.stack([lumped[s][0][u] for s in batch]) for u in range(j_users)]
-            stack = np.empty((len(batch), 2, gains.size, int(cells[-1])))
-            for b in range(len(batch) if keys else 0):
-                stack[b : b + 1] = _mgf_tables([v[b : b + 1] for v in stacked], keys, scale, kappa)
-            tables = {
-                (k, users): stack[..., lo:hi].reshape((len(batch), 2, gains.size) + tuple(classes[u] for u in users))
-                for (k, users), lo, hi in zip(keys, cells, cells[1:])
-            }
+            shared = np.concatenate(
+                [_mgf_tables([v[b : b + 1] for v in stacked], keys, scale[s], kappa) for b, s in enumerate(batch)]
+            )
+            tables = {key: shared[..., lo:hi] for key, lo, hi in zip(keys, cells, cells[1:])}
             sums = np.zeros((len(batch), j_users))
-            for need, pep, factors, weights, rows, support, at, mult in plan:
-                for k, users, shape in factors:
-                    if len(users) < e_star:
-                        table = tables[k, users].take(need, axis=2)
-                    else:
-                        table = _mgf_tables(stacked, [(k, users)], scale[need], kappa)
-                    pep = pep * table.reshape(shape)
-                pep = (pep[:, 0] / 12.0 + pep[:, 1] / 4.0).reshape(len(pep), len(need), -1).take(rows, axis=2)
-                # (set, place in the support, gain): every place's weights against every needed gain.
-                dots = np.vecdot(pep[:, None, :, :_CHUNK], weights[:, None, :_CHUNK])
-                for c in range(_CHUNK, weights.shape[1], _CHUNK):
-                    dots = dots + np.vecdot(pep[:, None, :, c : c + _CHUNK], weights[:, None, c : c + _CHUNK])
-                # Each user adds its supports in order onto 0, as the enumeration does.
-                sums[:, support] += mult * dots.reshape(len(dots), -1)[:, at]
+            # Supports run by size, then in lexicographic order, which is each column's enumeration order.
+            for size, w in enumerate(weights, 1):
+                for support in combinations(range(j_users), size):
+                    at = np.array(support)
+                    pep = np.ones((1, 2, size) + (1,) * size)
+                    for k, on_k in enumerate(on_rn):
+                        users = tuple(u for u in support if u in on_k)
+                        if len(users) == e_star:
+                            table = _mgf_tables(stacked, [(k, users)], scale[batch][:, at], kappa)
+                        elif users:
+                            table = tables[k, users].take(at, axis=2)
+                        else:
+                            continue
+                        tail = tuple(classes[u] if u in users else 1 for u in support)
+                        pep = pep * table.reshape((-1, 2, size) + tail)
+                    rows = reduce(lambda r, u: np.add.outer(r * classes[u], inverse[u]).ravel(), support, 0)
+                    pep = (pep[:, 0] / 12.0 + pep[:, 1] / 4.0).reshape(len(pep), size, -1).take(rows, axis=2)
+                    # Place i's rows at its user's gain against place i's weights.
+                    dots = np.vecdot(pep[..., :_CHUNK], w[:, :_CHUNK])
+                    for c in range(_CHUNK, w.shape[1], _CHUNK):
+                        dots = dots + np.vecdot(pep[..., c : c + _CHUNK], w[:, c : c + _CHUNK])
+                    # Each user adds its supports in order onto 0, as the enumeration does.
+                    sums[:, at] += float(m) ** (j_users - size) * dots
             totals[batch] = sums
     return totals
 
@@ -328,15 +311,16 @@ def _mgf_tables(vectors, keys, scale: np.ndarray, kappa: float) -> np.ndarray:
     """MGF at s/4 and s/3 of each (RN k, users) key's class sums, for a leading axis of sets.
 
     vectors holds each user's class vectors (B, C_u, K), and s is
-    |sum_u d_u[k]|^2 / scale for each scale.  Returns (B, 2, len(scale),
-    cells): each key's classes, flattened, follow the previous key's.
+    |sum_u d_u[k]|^2 / scale for each scale, which is (G,) for every set or
+    (B, G) per set.  Returns (B, 2, G, cells): each key's classes, flattened,
+    follow the previous key's; no keys give no cells.
     """
 
     def outer(a, v):  # np.add.outer(a, v) of every set's rows
         return a[..., None] + v.reshape(v.shape[:1] + (1,) * (a.ndim - 1) + v.shape[1:])
 
     sums = [reduce(outer, [vectors[u][:, :, k] for u in users]).reshape(len(vectors[0]), -1) for k, users in keys]
-    sk = (np.abs(np.concatenate(sums, axis=1)) ** 2)[:, None] / scale[:, None]
+    sk = (np.abs(np.concatenate([np.empty((len(vectors[0]), 0))] + sums, axis=1)) ** 2)[:, None] / scale[..., None]
     return rician_mgf(sk[:, None] / np.array([4.0, 3.0])[:, None, None], kappa)
 
 
@@ -429,8 +413,7 @@ def set_bep(
     order-statistic mean of its distance ratio.  cbs is one
     CodebookSet, which returns one BepSummary, or a sequence of sets with
     equal dims, which returns a list of them: the truncated bound serves all
-    sets that pair ranks with the same columns from one kernel call, the
-    exact bound each set from one.
+    sets from one kernel call, the exact bound each set from one.
     """
     sets = [cbs] if isinstance(cbs, CodebookSet) else list(cbs)
     if not sets:
@@ -444,35 +427,13 @@ def set_bep(
     if not (np.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     gammas = np.array([_geometry_gain(geom, expected_distance_ratio(r, j_users)) for r in range(1, j_users + 1)])
-    by_columns = {}
-    for s, c in enumerate(sets):
-        by_columns.setdefault(tuple(c.columns_by_rank().tolist()), []).append(s)
-    per_user = np.empty((len(sets), j_users))
-    for columns, members in by_columns.items():
-        by_column = np.argsort(columns)  # the rank each column serves, as a row index
-        if e_star >= j_users:
-            totals = np.array([_exact_user_bep(sets[s], gammas[by_column], kappa, n0) for s in members])
-        else:
-            totals = _truncated_user_bep([sets[s] for s in members], gammas[by_column], kappa, n0, e_star)
-        per_user[members] = totals[:, columns]
-    per_user /= float(m) ** j_users * np.log2(m)
+    columns = np.array([c.columns_by_rank() for c in sets])
+    gains = gammas[np.argsort(columns, axis=1)]  # each column's gain: that of the rank it serves
+    if e_star >= j_users:
+        totals = np.array([_exact_user_bep(c, g, kappa, n0) for c, g in zip(sets, gains)])
+    else:
+        totals = _truncated_user_bep(sets, gains, kappa, n0, e_star)
+    per_user = np.take_along_axis(totals, columns, axis=1) / (float(m) ** j_users * np.log2(m))
     summaries = [BepSummary(per_user=p) for p in per_user]
     return summaries[0] if isinstance(cbs, CodebookSet) else summaries
 
-
-def _bep_csv_rows(snr_db_grid, per_user_matrix, prefix: str = "") -> str:
-    """The CSV rows under snr_db,user_rank,bep, one per (SNR point, user rank), each led by prefix.
-
-    Rows end in CRLF, the csv module's line end, which bep.csv files have always had.
-    """
-    return "".join(
-        f"{prefix}{snr},{j + 1},{bep:.12g}\r\n"
-        for snr, row in zip(snr_db_grid, np.asarray(per_user_matrix), strict=True)
-        for j, bep in enumerate(row)
-    )
-
-
-def write_bep_csv(path, snr_db_grid, per_user_matrix) -> None:
-    """Per-user BEP table as CSV with columns snr_db, user_rank, bep."""
-    with open(path, "w", newline="") as fh:
-        fh.write("snr_db,user_rank,bep\r\n" + _bep_csv_rows(snr_db_grid, per_user_matrix))

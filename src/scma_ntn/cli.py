@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import _bep_csv_rows, set_bep, snr_db_to_n0, write_bep_csv
+from .analysis import set_bep, snr_db_to_n0
 from .codebook import CodebookFormatError, export_codebook_set, import_codebook_set
 from .geometry import CellGeometry
 from .layering import ConstellationOperator, SystemDims, assign_layers_and_power, validate_signature
@@ -203,6 +203,24 @@ def _cmd_design(args, cfg) -> int:
     return EXIT_OK
 
 
+def _bep_csv_rows(snr_db_grid, per_user_matrix, prefix: str = "") -> str:
+    """The CSV rows under snr_db,user_rank,bep, one per (SNR point, user rank), each led by prefix.
+
+    Rows end in CRLF, the csv module's line end, which bep.csv files have always had.
+    """
+    return "".join(
+        f"{prefix}{snr},{j + 1},{bep:.12g}\r\n"
+        for snr, row in zip(snr_db_grid, np.asarray(per_user_matrix), strict=True)
+        for j, bep in enumerate(row)
+    )
+
+
+def write_bep_csv(path, snr_db_grid, per_user_matrix) -> None:
+    """Per-user BEP table as CSV with columns snr_db, user_rank, bep."""
+    with open(path, "w", newline="") as fh:
+        fh.write("snr_db,user_rank,bep\r\n" + _bep_csv_rows(snr_db_grid, per_user_matrix))
+
+
 def _analyze_one(cbs, cfg):
     """Per-user BEP bounds (SNR point, user rank) over the [analysis] grid."""
     geom, kappa, trunc = _geometry(cfg), cfg["link"]["kappa"], cfg["analysis"]["truncation"]
@@ -269,6 +287,15 @@ def _cmd_compare(args, cfg) -> int:
     if len(paths) < 2:
         print("compare needs at least two --codebook files", file=sys.stderr)
         return EXIT_USAGE
+    # Every output names a codebook by its file name, so distinct files under one name would merge.
+    names = [Path(p).name for p in paths]
+    files = {}
+    for name, p in zip(names, paths):
+        files.setdefault(name, set()).add(Path(p).resolve())
+    shared = [name for name, found in files.items() if len(found) > 1]
+    if shared:
+        print(f"compare names codebooks by file name; distinct files are named {', '.join(shared)}", file=sys.stderr)
+        return EXIT_USAGE
     if not 0 < args.target_ber < 1:
         raise ConfigError(f"target BER must be in (0, 1), got {args.target_ber:g}")
     sets = [import_codebook_set(p) for p in paths]
@@ -279,35 +306,33 @@ def _cmd_compare(args, cfg) -> int:
     csv_path = out / "compare_bep.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write("codebook,snr_db,user_rank,bep\r\n")
-        for p, cbs in zip(paths, sets):
+        for name, cbs in zip(names, sets):
             table = _analyze_one(cbs, cfg)
-            worst_curves[p] = table.max(axis=1)
-            fh.write(_bep_csv_rows(snr_grid, table, prefix=f"{Path(p).name},"))
+            worst_curves[name] = table.max(axis=1)
+            fh.write(_bep_csv_rows(snr_grid, table, prefix=f"{name},"))
     outputs.append(csv_path)
     if args.run_simulation:
         sim_cfg = _sim_config(args, cfg)
         ber_path = out / "compare_ber.csv"
         with open(ber_path, "w") as fh:
             fh.write("codebook," + BerResult.CSV_HEADER)
-            for p, cbs in zip(paths, sets):
+            for name, cbs in zip(names, sets):
                 res = run_ber_sweep(sim_cfg, cbs)
-                worst_curves[p] = res.ber_worst
-                fh.write(res.csv_rows(prefix=f"{Path(p).name},"))
+                worst_curves[name] = res.ber_worst
+                fh.write(res.csv_rows(prefix=f"{name},"))
         outputs.append(ber_path)
-    ref = paths[0]
+    ref = names[0]
     grid = cfg["simulate"]["snr_grid"] if args.run_simulation else snr_grid
     ref_snr = _snr_at_ber(grid, worst_curves[ref], args.target_ber)
     gains = {}
-    for p in paths[1:]:
-        other_snr = _snr_at_ber(grid, worst_curves[p], args.target_ber)
-        gains[Path(p).name] = (
-            None if ref_snr is None or other_snr is None else other_snr - ref_snr
-        )
-        shown = "n/a" if gains[Path(p).name] is None else f"{gains[Path(p).name]:+.2f} dB"
-        print(f"worst-user gain of {Path(ref).name} over {Path(p).name} at BER {args.target_ber:g}: {shown}")
+    for name in names[1:]:
+        other_snr = _snr_at_ber(grid, worst_curves[name], args.target_ber)
+        gains[name] = None if ref_snr is None or other_snr is None else other_snr - ref_snr
+        shown = "n/a" if gains[name] is None else f"{gains[name]:+.2f} dB"
+        print(f"worst-user gain of {ref} over {name} at BER {args.target_ber:g}: {shown}")
     summary = out / "compare_summary.json"
     with open(summary, "w") as fh:
-        json.dump({"reference": Path(ref).name, "target_ber": args.target_ber, "gains_db": gains}, fh, indent=2)
+        json.dump({"reference": ref, "target_ber": args.target_ber, "gains_db": gains}, fh, indent=2)
         fh.write("\n")
     outputs.append(summary)
     _manifest(out, "compare", args, cfg, outputs)

@@ -169,9 +169,8 @@ def import_codebook_set(path) -> CodebookSet:
         raise CodebookFormatError(f"{path}: not a codebook set file")
     dims = None
     meta: dict = {}
-    books = None
     current = -1
-    rows: dict = {}  # codewords read per codebook block
+    blocks: dict = {}  # each codebook block's codewords, so memory follows the file, not its dims record
     for ln in raw[1:]:
         tok = ln.split()
         key = tok[0]
@@ -181,7 +180,6 @@ def import_codebook_set(path) -> CodebookSet:
                     raise CodebookFormatError(f"{path}: dims repeated")
                 k, j, m, n = (int(t) for t in tok[1:5])
                 dims = SystemDims(k_resources=k, j_users=j, m_order=m, n_nonzero=n)
-                books = np.zeros((j, k, m), dtype=complex)
             elif key == "delta":
                 meta["delta"] = float(tok[1])
             elif key == "operator":
@@ -194,9 +192,9 @@ def import_codebook_set(path) -> CodebookSet:
                 current = int(tok[1]) - 1
                 if not 0 <= current < dims.j_users:
                     raise CodebookFormatError(f"{path}: codebook index {tok[1]} out of range")
-                if current in rows:
+                if current in blocks:
                     raise CodebookFormatError(f"{path}: codebook {current + 1} repeated")
-                rows[current] = 0
+                blocks[current] = []
             elif key == "codeword":
                 vals = [float(t) for t in tok[1:]]
                 if dims is None or current < 0:
@@ -205,22 +203,22 @@ def import_codebook_set(path) -> CodebookSet:
                     raise CodebookFormatError(
                         f"{path}: codeword has {len(vals) // 2} entries, expected K = {dims.k_resources}"
                     )
-                if rows[current] >= dims.m_order:
+                if len(blocks[current]) >= dims.m_order:
                     raise CodebookFormatError(f"{path}: too many codewords in codebook {current + 1}")
-                books[current, :, rows[current]] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-                rows[current] += 1
+                blocks[current].append(np.array(vals[0::2]) + 1j * np.array(vals[1::2]))
             else:
                 raise CodebookFormatError(f"{path}: unknown record '{key}'")
         except (ValueError, IndexError) as exc:
             if isinstance(exc, CodebookFormatError):
                 raise
             raise CodebookFormatError(f"{path}: malformed line '{ln}'") from exc
-    if dims is None or books is None:
+    if dims is None:
         raise CodebookFormatError(f"{path}: missing dims record")
     for u in range(dims.j_users):
-        if rows.get(u, 0) < dims.m_order:
-            found = "missing" if u not in rows else f"has {rows[u]} codewords"
+        if len(blocks.get(u, ())) < dims.m_order:
+            found = "missing" if u not in blocks else f"has {len(blocks[u])} codewords"
             raise CodebookFormatError(f"{path}: codebook {u + 1} {found}, expected M = {dims.m_order}")
+    books = np.ascontiguousarray(np.array([blocks[u] for u in range(dims.j_users)]).transpose(0, 2, 1))
     if not np.all(np.isfinite(books)):
         raise CodebookFormatError(f"{path}: a codeword holds a non-finite value (nan or inf)")
     occupancy = np.any(books != 0, axis=2).sum(axis=1)

@@ -31,10 +31,18 @@ from scma_ntn.analysis import (
     _lumped_pairs,
     _truncated_user_bep,
     effective_snr_terms,
-    write_bep_csv,
 )
+from scma_ntn.cli import write_bep_csv
 
-from conftest import make_codebook_set, make_oversized_set, make_reduced_set, small_sets
+from conftest import (
+    REF_DELTA,
+    REF_RHOS,
+    REF_THETAS,
+    make_codebook_set,
+    make_oversized_set,
+    make_reduced_set,
+    small_sets,
+)
 from union_bound_oracle import enumerate_user_bep
 
 # Irregular graphs as K and the RNs of each user: the reduced set's layout,
@@ -81,8 +89,9 @@ def exact_columns(cbs, gammas, kappa, n0):
 
 
 def truncated_columns(sets, gammas, kappa, n0, e_star):
-    """The truncated kernel at each gain column of gammas (J, G), one call per column: (S, J, G)."""
-    return np.stack([_truncated_user_bep(sets, g, kappa, n0, e_star) for g in gammas.T], axis=-1)
+    """The truncated kernel at each gain column of gammas (J, G), one call per column serving every set: (S, J, G)."""
+    columns = [_truncated_user_bep(sets, np.tile(g, (len(sets), 1)), kappa, n0, e_star) for g in gammas.T]
+    return np.stack(columns, axis=-1)
 
 
 def assert_contraction_matches_enumeration(cbs, kappa, snr_db, mode):
@@ -500,13 +509,53 @@ def test_truncated_batch_with_mixed_partitions(ref_cbs):
 
 def test_truncated_batch_in_chunks_equals_one_chunk(monkeypatch):
     sets = random_generation(SystemDims(4, 6, 4, 2), 5, seed=23)
-    gammas = gains_of(sets[0], "mean")[:, 0]
+    gammas = np.tile(gains_of(sets[0], "mean")[:, 0], (len(sets), 1))
     n0 = snr_db_to_n0(12.0, sets[0].dims)
     whole = _truncated_user_bep(sets, gammas, 10.0, n0, 3)
     # One set per chunk, then chunks of a few sets and a shorter last one.
     for limit in (1, 5 * 10**4, 7 * 10**4):
         monkeypatch.setattr(analysis_mod, "_STACK_ELEMENTS", limit)
         assert np.array_equal(_truncated_user_bep(sets, gammas, 10.0, n0, 3), whole), limit
+
+
+def louder_copy(cbs):
+    """cbs with codebook 0 three times as loud: the same collision sets and pair classes, another column order."""
+    books = cbs.codebooks.copy()
+    books[0] *= 3.0
+    return CodebookSet.from_codebooks(books, cbs.dims)
+
+
+def assert_one_stacking_group(sets):
+    """The sets share collision sets and pair classes, so the truncated kernel stacks them in one group."""
+    assert all(c.collision_sets() == sets[0].collision_sets() for c in sets)
+    assert all(np.array_equal(_lumped_pairs(c)[1], _lumped_pairs(sets[0])[1]) for c in sets)
+
+
+def test_truncated_batch_mixes_column_orders(ref_cbs):
+    louder = louder_copy(ref_cbs)
+    assert ref_cbs.columns_by_rank().tolist() == [0, 1, 2, 3, 4, 5]
+    assert louder.columns_by_rank().tolist() == [1, 2, 3, 0, 4, 5]
+    assert_one_stacking_group([ref_cbs, louder])
+    n0 = snr_db_to_n0(12.0, ref_cbs.dims)
+    rank = 4  # the louder set's column 0 serves rank 4
+    gain = _geometry_gain(CellGeometry(), expected_distance_ratio(rank, 6))
+    for e_star in (1, 2, 3):
+        assert_batch_equals_one_call_per_set_and_enumeration([ref_cbs, louder], e_star)
+        got = set_bep(louder, CellGeometry(), 10.0, n0, truncation=e_star).per_user[rank - 1]
+        # M^J log2 M = 4^6 * 2 is a power of two, so the scaling is exact.
+        assert got * 4.0**6 * 2 == enumerate_user_bep(louder, 0, np.array([gain]), 10.0, n0, e_star)[0], e_star
+
+
+def test_truncated_batch_mixes_column_orders_at_m8(monkeypatch):
+    dims = SystemDims(4, 6, 8, 2)
+    ref = make_codebook_set(REF_DELTA, REF_RHOS, REF_THETAS, dims)
+    sets = [ref, make_codebook_set(REF_DELTA, REF_RHOS, (0.4, 1.3, 2.2), dims), louder_copy(ref)]
+    assert [class_counts(c) for c in sets] == [[32] * 6] * 3
+    assert [c.columns_by_rank()[0] for c in sets] == [0, 0, 1]
+    assert_one_stacking_group(sets)
+    assert_batch_equals_one_call_per_set_and_enumeration(sets, 2)
+    monkeypatch.setattr(analysis_mod, "_STACK_ELEMENTS", 1)  # one set per chunk
+    assert_batch_equals_one_call_per_set_and_enumeration(sets, 2)
 
 
 def test_truncated_bounds_climb_to_the_exact_bound(ref_cbs, geom):
@@ -573,7 +622,7 @@ def test_bound_serves_each_rank_with_the_column_the_simulation_serves(ref_cbs, g
     got = set_bep(flipped, geom, 10.0, n0, truncation=truncation).per_user
     want = set_bep(resorted, geom, 10.0, n0, truncation=truncation).per_user
     assert np.all(np.abs(got - want) <= 1e-12 * want)
-    # Sets of one call that pair ranks with different columns are bounded apart, each as alone.
+    # Sets of one call that pair ranks with different columns each get the bound they get alone.
     both = set_bep([flipped, resorted], geom, 10.0, n0, truncation=truncation)
     assert np.array_equal(both[0].per_user, got) and np.array_equal(both[1].per_user, want)
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scma_ntn import CodebookSet, export_codebook_set
-from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, EXIT_OK, main
+from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
 
 from conftest import make_codebook_set, make_oversized_set
 
@@ -189,6 +190,17 @@ def test_compare_ber_rows_are_simulate_rows_by_name(tmp_path, codebook_file, sec
     assert rows == want and len(rows) == 2 * 2 * 6
 
 
+def test_compare_rejects_distinct_files_with_one_name(tmp_path, codebook_file, second_codebook_file, capsys):
+    argv = ["compare"]
+    for folder, book in zip("abc", (codebook_file, second_codebook_file, codebook_file)):
+        (tmp_path / folder).mkdir()
+        argv += ["--codebook", str(shutil.copy(book, tmp_path / folder / "x.txt"))]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "x.txt" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_command_exits_with_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -253,6 +265,15 @@ def test_codebook_missing_a_codeword_exit_code(tmp_path, codebook_file, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "codebook 6 has 3 codewords" in err
     assert err.count("short.txt") == 1
+
+
+def test_codebook_with_huge_dims_exit_code(tmp_path, capsys):
+    # Its J x K x M array would take 58 TiB; the importer allocates only for the codewords it reads.
+    path = tmp_path / "huge.txt"
+    path.write_text("format scma-codebook-set 1\ndims 1000000 1000000 4 2\n")
+    assert main(["analyze", "--codebook", str(path), "--out", str(tmp_path / "out")]) == EXIT_CODEBOOK
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "codebook 1 missing" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

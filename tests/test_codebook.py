@@ -258,6 +258,22 @@ def test_import_rejects_incomplete_codebook_blocks(tmp_path, ref_cbs, mangle, me
         import_codebook_set(path)
 
 
+# Headers whose J x K x M complex array outgrows a 57-bit address space, with a huge J, K or M.
+HUGE_DIMS = {
+    "huge-J": "dims 4 1000000000000000 4 2",
+    "huge-K": "dims 1000000000000000 6 4 2",
+    "huge-M": f"dims 4 6 {2**50} 2",
+}
+
+
+@pytest.mark.parametrize("header", HUGE_DIMS.values(), ids=HUGE_DIMS.keys())
+def test_import_allocates_for_the_codewords_read_not_the_dims_record(tmp_path, header):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"format scma-codebook-set 1\n{header}\n")
+    with pytest.raises(CodebookFormatError, match="codebook 1 missing"):
+        import_codebook_set(path)
+
+
 def test_import_rejects_garbage(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("format scma-codebook-set 1\ndims 2 2 2 1\nwible wobble\n")
