@@ -12,9 +12,10 @@ Each s_k depends only on the d_k users on RN k, and a user's ordered pairs
 enter only through their difference vectors, so pairs with equal vectors
 are lumped into one class (variable merging, Kschischang, Frey & Loeliger
 2001): 8 classes instead of 12 pairs on the 4x6 reference design.  The exact
-bound contracts one MGF table per RN over the factor graph, batched over
-(user, MGF term) so that one contraction serves a set_bep call;
-numpy's einsum runs it on a greedy path cached per graph.
+bound contracts one MGF table per busy RN and one weight vector per user
+(one more unary factor) over the factor graph, batched over (user, MGF term)
+so that one contraction serves a set_bep call; numpy's einsum runs it on a
+greedy path cached per graph.
 A truncated bound (at most E* < J users in error) runs one error support at
 a time: it multiplies per-(RN, users) tables, taken at the gains of the
 support's users, over their classes, repeating the floating-point operations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
@@ -166,19 +168,20 @@ def pep(
 
 
 @lru_cache(maxsize=64)
-def _contraction_plan(rn_users: tuple, domain_sizes: tuple, limit: int):
-    """Einsum subscripts and greedy path contracting one table per busy RN over a leading batch axis.
+def _contraction_plan(scopes: tuple, domain_sizes: tuple, limit: int):
+    """Einsum subscripts and greedy path contracting one table per scope over a leading batch axis.
 
-    rn_users holds each busy RN's users, domain_sizes each user's number of
-    values.  Returns the subscripts ("...ab,...bc->..."), the path, which
-    numpy's einsum runs with each pairwise step as a batched matrix product,
-    and, per batch entry, the largest table or step and the most elements
-    held at once.  The path is searched once per graph, domain and limit.
+    scopes holds each operand's users: each busy RN's, then each single user
+    for its weights.  domain_sizes holds each user's number of values.
+    Returns the subscripts ("...ab,...a,...b->..."), the path, which numpy's
+    einsum runs with each pairwise step as a batched matrix product, and,
+    per batch entry, the largest table or step and the most elements held
+    at once.  The path is searched once per graph, domain and limit.
     """
-    placed = sorted({u for users in rn_users for u in users})
+    placed = sorted({u for users in scopes for u in users})
     labels = {u: string.ascii_letters[i] for i, u in enumerate(placed)}
     sizes = {labels[u]: domain_sizes[u] for u in placed}
-    terms = ["".join(labels[u] for u in users) for users in rn_users]
+    terms = ["".join(labels[u] for u in users) for users in scopes]
     shapes = [np.broadcast_to(0.0, [sizes[a] for a in t]) for t in terms]
     # numpy's default limit is the largest input, which on 4x6 forbids every pairwise step.
     path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize=("greedy", limit))
@@ -188,7 +191,7 @@ def _contraction_plan(rn_users: tuple, domain_sizes: tuple, limit: int):
 
     largest = max(shape.size for shape in shapes)
     tables = held = sum(shape.size for shape in shapes)
-    # einsum's caller holds every RN table for the whole call, so live pairs each
+    # einsum's caller holds every input table for the whole call, so live pairs each
     # operand's labels with what it adds to the tables: an intermediate's size, 0 for a table.
     live = [(t, 0) for t in terms]
     for step in path[1:]:
@@ -330,71 +333,50 @@ def _exact_user_bep(cbs: CodebookSet, gammas: np.ndarray, kappa: float, n0: floa
     gammas (J,) holds the geometry gain of the rank each column serves;
     returns (J,).  A user takes one of 1 + C values: 0 is "no error" (weight
     M, 0 for the target), 1 + c is its lumped pair class c (weight the
-    class's pair count, its summed bit weights for the target).  RN k holds
-    MGF(|sum_u d_u[k]|^2 / (N0 gamma_target c)) over its users' values, with
-    a leading batch axis Z = (target, c in {4, 3}); the weighted sum of the
-    tables' product over all values is the enumeration at E* = J.  Each
-    user's weights are folded into the first RN it occupies; a user on no
-    RN contributes their sum, an idle RN contributes 1.  Each chunk of Z is
+    class's pair count, its summed bit weights for the target).  Each busy
+    RN k holds MGF(|sum_u d_u[k]|^2 / (N0 gamma_target c)) over its users'
+    values, and each user its weights, with a leading batch axis
+    Z = (target, c in {4, 3}); the sum over all values of the product of
+    every operand is the enumeration at E* = J.  A user on no RN meets only
+    its own weights, and an idle RN is no operand at all.  Each chunk of Z is
     one numpy einsum on the cached path of _contraction_plan; the chunks
     keep what the call holds at once within _MAX_ELEMENTS elements.
     """
     dims = cbs.dims
-    m = dims.m_order
-    vectors, inverse, bit_weights = _lumped_pairs(cbs)
+    j_users, m = dims.j_users, dims.m_order
     collision = cbs.collision_sets()
-    rns = [users for users in collision if users]
-    placed = sorted({u for users in rns for u in users})
-    rest = np.array(
-        [np.prod([bit_weights.sum() if u == t else float(m * m) for u in range(dims.j_users) if u not in placed])
-         for t in range(dims.j_users)]
-    )
-    if not rns:  # no RN carries a difference: every PEP is 1/12 + 1/4
-        return rest / 3.0
-
-    graph = f"{dims.k_resources}x{dims.j_users} graph (M = {m}, d_f = {max(map(len, rns))})"
-    if len(placed) + 1 > len(string.ascii_letters):  # a label per placed user and one for the batch axis
-        raise ValueError(
-            f"exact bound on the {graph}: {len(placed)} users on RNs and a batch axis, einsum labels at most 52"
-        )
-    values, weights, bits = {}, {}, {}
-    for u in placed:
-        values[u] = np.concatenate([np.zeros((1, dims.k_resources)), vectors[u]])
-        weights[u] = np.concatenate([[float(m)], np.bincount(inverse[u]).astype(float)])
-        bits[u] = np.concatenate([[0.0], np.bincount(inverse[u], weights=bit_weights)])
-    domain = tuple(len(values[u]) if u in values else 0 for u in range(dims.j_users))
-    subscripts, path, largest, held = _contraction_plan(tuple(map(tuple, rns)), domain, _MAX_ELEMENTS)
+    graph = f"{dims.k_resources}x{j_users} graph (M = {m}, d_f = {max(map(len, collision))})"
+    if j_users + 1 > len(string.ascii_letters):  # a label per user and one for the batch axis
+        raise ValueError(f"exact bound on the {graph}: {j_users} users and a batch axis, einsum labels at most 52")
+    vectors, inverse, bit_weights = _lumped_pairs(cbs)
+    values = [np.concatenate([np.zeros((1, dims.k_resources)), v]) for v in vectors]
+    counts = [np.concatenate([[float(m)], np.bincount(i).astype(float)]) for i in inverse]
+    bits = [np.concatenate([[0.0], np.bincount(i, weights=bit_weights)]) for i in inverse]
+    busy = [(k, tuple(users)) for k, users in enumerate(collision) if users]
+    scopes = tuple(users for _, users in busy) + tuple((u,) for u in range(j_users))
+    domain = tuple(len(v) for v in values)
+    subscripts, path, largest, held = _contraction_plan(scopes, domain, _MAX_ELEMENTS)
     if largest > _MAX_ELEMENTS:
         raise ValueError(
             f"exact bound on the {graph}: a table or contraction step of {largest:.3g} elements, "
             f"above the limit of {_MAX_ELEMENTS}; use a truncated bound"
         )
 
-    # |sum d|^2 tables and per-target folded weights, shared by both MGF terms.
-    abs2, folds, homed = [], [], set()
-    for k, users in enumerate(collision):
-        if not users:
-            continue
-        abs2.append(np.abs(reduce(np.add.outer, [values[u][:, k] for u in users])) ** 2)
-        home = [u for u in users if u not in homed]
-        factors = [[(bits if u == t else weights)[u] if u in home else np.ones(domain[u]) for u in users]
-                   for t in range(dims.j_users)]
-        folds.append(np.stack([reduce(np.multiply.outer, f) for f in factors]))
-        homed.update(users)
-
+    # |sum d|^2 tables, shared by both MGF terms, and each user's weights per Z entry.
+    abs2 = [np.abs(reduce(np.add.outer, [values[u][:, k] for u in users])) ** 2 for k, users in busy]
+    target_of = np.repeat(np.arange(j_users), 2)
+    weights = [np.where((target_of == u)[:, None], bits[u], counts[u]) for u in range(j_users)]
     scale = (n0 * gammas[:, None] * np.array([4.0, 3.0])).reshape(-1)
-    target_of = np.repeat(np.arange(dims.j_users), 2)
-    # Every chunk's tables come on top of the |sum d|^2 tables and folds, which the call holds throughout.
-    chunk = max(1, (_MAX_ELEMENTS - sum(a.size + f.size for a, f in zip(abs2, folds))) // held)
+    # Every chunk's tables come on top of the |sum d|^2 tables and weights, which the call holds throughout.
+    chunk = max(1, (_MAX_ELEMENTS - sum(a.size for a in abs2) - sum(w.size for w in weights)) // held)
     sums = np.empty(scale.size)
     for lo in range(0, scale.size, chunk):
         z = slice(lo, lo + chunk)
         # A generator, so that no chunk's tables outlive its einsum call.
-        tables = (rician_mgf(a / scale[z].reshape((-1,) + (1,) * a.ndim), kappa) * f[target_of[z]]
-                  for a, f in zip(abs2, folds))
-        sums[z] = np.einsum(subscripts, *tables, optimize=path)
+        tables = (rician_mgf(a / scale[z].reshape((-1,) + (1,) * a.ndim), kappa) for a in abs2)
+        sums[z] = np.einsum(subscripts, *tables, *(w[z] for w in weights), optimize=path)
     m4, m3 = sums.reshape(-1, 2).T
-    return rest * (m4 / 12.0 + m3 / 4.0)
+    return m4 / 12.0 + m3 / 4.0
 
 
 def set_bep(
@@ -421,9 +403,9 @@ def set_bep(
     if len({c.dims for c in sets}) > 1:
         raise ValueError("the sets of one set_bep call must share dims")
     j_users, m = sets[0].dims.j_users, sets[0].dims.m_order
+    if truncation is not None and not (isinstance(truncation, Integral) and truncation >= 1):
+        raise ValueError(f"truncation must be >= 1 and an integer, or None, got {truncation!r}")
     e_star = j_users if truncation is None else int(truncation)
-    if e_star < 1:
-        raise ValueError("truncation must be >= 1")
     if not (np.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     gammas = np.array([_geometry_gain(geom, expected_distance_ratio(r, j_users)) for r in range(1, j_users + 1)])

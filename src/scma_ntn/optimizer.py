@@ -33,10 +33,13 @@ __all__ = [
 # Design box: delta in (1, DELTA_MAX], rho in [RHO_MIN, 1], theta in [0, pi).
 DELTA_MAX = 4.0
 RHO_MIN = 0.05
-# GA recipe: tournament size, blend-crossover alpha, and the mutation
-# standard deviation as a fraction of each parameter's range.
+# GA recipe: tournament size, crossover probability, blend-crossover alpha,
+# per-parameter mutation probability, and the mutation standard deviation as
+# a fraction of each parameter's range.
 TOURNAMENT = 3
+CROSSOVER_RATE = 0.9
 BLEND_ALPHA = 0.5
+MUTATION_RATE = 0.15
 MUTATION_SIGMA_FRAC = 0.1
 
 
@@ -79,8 +82,6 @@ class GaConfig:
     kappa: float = 10.0
     geometry: CellGeometry = field(default_factory=CellGeometry)
     elitism: int = 2
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.15
     truncation: int | None = 3
     seed: int = 0
     # Accepted and validated, but changes neither results nor speed: every
@@ -88,6 +89,9 @@ class GaConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("population", "generations", "elitism", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population < 2:
             raise ValueError("population must be >= 2")
         if self.generations < 1:
@@ -100,10 +104,6 @@ class GaConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-        for name in ("crossover_rate", "mutation_rate"):
-            rate = getattr(self, name)
-            if not (np.isfinite(rate) and 0.0 <= rate <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if not np.isfinite(self.design_snr_db):
             raise ValueError(f"design SNR must be finite, got {self.design_snr_db}")
         if self.truncation is not None and not (
@@ -222,14 +222,14 @@ def run_ga(space: DesignSpace, cfg: GaConfig) -> GaResult:
         while len(children) < cfg.population - cfg.elitism:
             p1 = population[tournament_pick()].as_vector()
             p2 = population[tournament_pick()].as_vector()
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 lo_g = np.minimum(p1, p2)
                 hi_g = np.maximum(p1, p2)
                 span = hi_g - lo_g
                 child = rng.uniform(lo_g - BLEND_ALPHA * span, hi_g + BLEND_ALPHA * span)
             else:
                 child = p1.copy()
-            mutate = rng.random(space.dimension) < cfg.mutation_rate
+            mutate = rng.random(space.dimension) < MUTATION_RATE
             child = child + mutate * rng.normal(0.0, 1.0, space.dimension) * sigma
             children.append(Candidate.from_vector(space.clip(child), n_ops))
         population = elite + _evaluate(children, cfg, space)

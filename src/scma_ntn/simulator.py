@@ -13,6 +13,7 @@ batch structure regardless of the worker count.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -40,6 +41,9 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("max_symbols", "target_errors", "batch_size", "threads", "iterations", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_symbols < 1 or self.target_errors < 1 or self.batch_size < 1:
             raise ValueError("counts must be positive")
         if self.threads < 1:

@@ -357,19 +357,19 @@ def test_contraction_with_idle_rn_absent_user_and_constant_user(mode):
 
 
 def test_contraction_in_batch_chunks_equals_one_chunk(ref_cbs, monkeypatch):
-    # 4x6 batches Z = 6 users x 2 MGF terms = 12 entries.  Per entry,
-    # einsum's arguments hold the four RN tables of three users' values each
-    # throughout; its second step also holds the first step's product of four
-    # users' values, the reordered copies of that product and of a table, and
-    # its own product of three users' values.  The call holds each RN's
-    # |sum d|^2 table and its six targets' folded weights beside them.  So
-    # this limit splits Z into two chunks of 5 entries and one of 2.
+    # 4x6 batches Z = 6 users x 2 MGF terms = 12 entries.  Per entry, the
+    # kernel contracts the four RN tables of three users' values each and the
+    # six users' weight vectors; at this limit its plan holds at most two
+    # arrays over four users' values, eight over three users' values and the
+    # six weight vectors at once.  The call holds each RN's |sum d|^2 table and every user's
+    # weights for all of Z beside them.  So this limit splits Z into two
+    # chunks of 5 entries and one of 2.
     size = 1 + max(class_counts(ref_cbs))
     limit = 17 * size**4
-    rns = tuple(tuple(users) for users in ref_cbs.collision_sets())
-    held = analysis_mod._contraction_plan(rns, (size,) * 6, limit)[3]
-    assert held == 6 * size**3 + 2 * size**4
-    assert (limit - 4 * 7 * size**3) // held == 5
+    scopes = tuple(tuple(users) for users in ref_cbs.collision_sets()) + tuple((u,) for u in range(6))
+    held = analysis_mod._contraction_plan(scopes, (size,) * 6, limit)[3]
+    assert held == 2 * size**4 + 8 * size**3 + 6 * size
+    assert (limit - 4 * size**3 - 6 * 12 * size) // held == 5
     gammas = gains_of(ref_cbs, "mean")[:, 0]
     n0 = snr_db_to_n0(12.0, ref_cbs.dims)
     whole = _exact_user_bep(ref_cbs, gammas, 10.0, n0)
@@ -395,7 +395,7 @@ def test_contraction_keeps_its_traced_peak_within_the_limit(ref_cbs, monkeypatch
     assert peak <= 1.05 * 8 * limit, peak / (8 * limit)
 
 
-def test_exact_bound_needs_an_einsum_label_per_placed_user_and_the_batch(geom):
+def test_exact_bound_needs_an_einsum_label_per_user_and_the_batch(geom):
     # Each user sits alone on its own RN; 51 users and the batch axis take
     # every einsum label, a 52nd user finds none.
     def alone(j):
@@ -405,7 +405,7 @@ def test_exact_bound_needs_an_einsum_label_per_placed_user_and_the_batch(geom):
 
     per_user = set_bep(alone(51), geom, 10.0, 0.1).per_user
     assert np.all((0 < per_user) & (per_user < 1))
-    with pytest.raises(ValueError, match=r"52 users on RNs and a batch axis, einsum labels at most 52"):
+    with pytest.raises(ValueError, match=r"52 users and a batch axis, einsum labels at most 52"):
         set_bep(alone(52), geom, 10.0, 0.1)
 
 
@@ -648,6 +648,9 @@ def test_bound_keeps_index_order_of_an_ulp_power_tie(ref_cbs, geom):
 def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
     with pytest.raises(ValueError, match="truncation must be >= 1"):
         set_bep(ref_cbs, geom, 10.0, 0.1, truncation=0)
+    for truncation in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="truncation must be >= 1 and an integer"):
+            set_bep(ref_cbs, geom, 10.0, 0.1, truncation=truncation)
     for kappa in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="kappa"):
             set_bep(ref_cbs, geom, kappa, 0.1)

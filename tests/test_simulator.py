@@ -173,6 +173,9 @@ def test_sim_config_validation():
         SimConfig(iterations=-1)
     with pytest.raises(ValueError, match="seed"):
         SimConfig(seed=-1)
+    for name in ("max_symbols", "target_errors", "batch_size", "threads", "iterations", "seed"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(**{name: 10.5})
     for kappa in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="kappa"):
             SimConfig(kappa=kappa)
