@@ -408,6 +408,8 @@ def set_bep(
     e_star = j_users if truncation is None else int(truncation)
     if not (np.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    if not 0 < n0 < np.inf:
+        raise ValueError(f"n0 must be finite and > 0, got {n0}")
     gammas = np.array([_geometry_gain(geom, expected_distance_ratio(r, j_users)) for r in range(1, j_users + 1)])
     columns = np.array([c.columns_by_rank() for c in sets])
     gains = gammas[np.argsort(columns, axis=1)]  # each column's gain: that of the rank it serves

@@ -46,7 +46,10 @@ class CodebookSet:
         books = np.asarray(books, dtype=complex)
         if books.shape != (dims.j_users, dims.k_resources, dims.m_order):
             raise ValueError(f"expected shape {(dims.j_users, dims.k_resources, dims.m_order)}, got {books.shape}")
-        books = books * np.sqrt(dims.j_users * dims.m_order / np.sum(np.abs(books) ** 2))
+        power = np.sum(np.abs(books) ** 2)
+        if not 0 < power < np.inf:
+            raise ValueError(f"books must have finite, positive total power, got {power}")
+        books = books * np.sqrt(dims.j_users * dims.m_order / power)
         return cls(codebooks=books, dims=dims, metadata=dict(metadata or {}))
 
     def traces(self) -> np.ndarray:

@@ -5,6 +5,8 @@ workhorse of Monte Carlo sweeps), both over the sparse factor graph and both
 from the same per-RN cost tables, with the batch on the last axis.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from .codebook import CodebookSet
@@ -17,14 +19,8 @@ _MAX_ELEMENTS = 1 << 20
 
 def _local_tables(codebooks: np.ndarray, rn_users: list) -> list:
     """Per-RN superpositions over the M^{d_k} collision hypotheses, first user leading, then a unit batch axis."""
-    m = codebooks.shape[2]
-    local = []
-    for k, users in enumerate(rn_users):
-        tab = np.zeros((m,) * len(users), dtype=complex)
-        for i, l in enumerate(users):
-            tab = tab + codebooks[l, k, :].reshape([m if a == i else 1 for a in range(len(users))])
-        local.append(tab[..., None])
-    return local
+    zero = np.zeros((), dtype=complex)  # each entry sums 0 + x_0 + x_1 + ..., in user order
+    return [reduce(np.add.outer, codebooks[users, k, :], zero)[..., None] for k, users in enumerate(rn_users)]
 
 
 def _rn_costs(local: list, y: np.ndarray, channel: np.ndarray, n0: float) -> list:

@@ -99,8 +99,8 @@ def sample_rician(shape, kappa: float, rng: np.random.Generator) -> np.ndarray:
     The LOS component is real and positive (detection is coherent, so the
     LOS phase is immaterial).  kappa = 0 reduces to Rayleigh.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     los = np.sqrt(kappa / (1.0 + kappa))
     scatter_std = np.sqrt(1.0 / (2.0 * (1.0 + kappa)))
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -203,10 +203,7 @@ def run_ga(space: DesignSpace, cfg: GaConfig) -> GaResult:
     rng = np.random.default_rng(cfg.seed)
     n_ops = space.n_operators
     lo, hi = space.lower(), space.upper()
-    lo_open = lo.copy()
-    lo_open[0] = np.nextafter(1.0, 2.0)
-
-    pop_vecs = rng.uniform(lo_open, hi, size=(cfg.population, space.dimension))
+    pop_vecs = rng.uniform(space.clip(lo), hi, size=(cfg.population, space.dimension))
     population = _evaluate([Candidate.from_vector(v, n_ops) for v in pop_vecs], cfg, space)
 
     def tournament_pick():

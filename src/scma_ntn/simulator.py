@@ -13,6 +13,7 @@ batch structure regardless of the worker count.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -128,58 +129,43 @@ def _run_batch(cfg: SimConfig, cbs: CodebookSet, detect, n0: float, batch: int, 
     h = plf[:, :, None] * g
     y = h * superposed[:, None, :] + noise
     decided = detect(y.reshape(-1, k), h.reshape(-1, k), n0).reshape(batch, j_users, j_users)
-    errors = np.zeros(j_users, dtype=np.int64)
-    for r in range(j_users):
-        c = col_of_rank[r]
-        errors[r] = int(np.bitwise_count(tx_col[:, c] ^ decided[:, r, c]).sum())
-    return errors
+    own = decided[:, np.arange(j_users), col_of_rank]  # (batch, J): each receiver's own column
+    return np.bitwise_count(tx_col[:, col_of_rank] ^ own).sum(axis=0, dtype=np.int64)
 
 
 def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
     """BER over the SNR grid with the per-user stopping rule.
 
-    Each point accumulates until every user rank has target_errors bit
-    errors or max_symbols codewords were sent, whichever comes first.
+    Point s has ceil(max_symbols / batch_size) batches; batch b sends
+    min(batch_size, max_symbols - b * batch_size) codewords drawn from
+    SeedSequence((seed, s, b)).  Batches run in waves of `threads` and are
+    folded in batch order, so the counts do not depend on the worker count;
+    the point stops at the first batch whose fold gives every user rank
+    target_errors bit errors, or at its last batch.
     """
     dims = cbs.dims
-    j_users = dims.j_users
-    bits_per = dims.bits_per_symbol
     detect = _make_detector(cfg, cbs)
     snr_grid = np.asarray(cfg.snr_grid_db, dtype=float)
-    all_errors = np.zeros((snr_grid.size, j_users), dtype=np.int64)
-    all_bits = np.zeros((snr_grid.size, j_users), dtype=np.int64)
+    all_errors = np.zeros((snr_grid.size, dims.j_users), dtype=np.int64)
+    all_bits = np.zeros_like(all_errors)
     n0s = [snr_db_to_n0(snr, dims) for snr in snr_grid]  # every point's N0 is checked before any runs
+    n_batches = -(-cfg.max_symbols // cfg.batch_size)
+
+    def numbered_batch(si: int, n0: float, b: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, si, b)))
+        return _run_batch(cfg, cbs, detect, n0, min(cfg.batch_size, cfg.max_symbols - b * cfg.batch_size), rng)
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         # One thread runs the batches on the calling thread, so no worker is started.
         run = map if cfg.threads == 1 else pool.map
         for si, n0 in enumerate(n0s):
-            symbols = 0
-            errors = np.zeros(j_users, dtype=np.int64)
-            batch_counter = 0
-
-            def stop() -> bool:
-                return symbols >= cfg.max_symbols or errors.min() >= cfg.target_errors
-
-            while not stop():
-                wave = []
-                budget = cfg.max_symbols - symbols
-                for _ in range(cfg.threads):
-                    size = min(cfg.batch_size, budget)
-                    if size <= 0:
-                        break
-                    budget -= size
-                    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, si, batch_counter)))
-                    wave.append((size, rng))
-                    batch_counter += 1
-                results = list(run(lambda w: _run_batch(cfg, cbs, detect, n0, *w), wave))
-                # Fold strictly in batch order and re-check the stopping rule per
-                # batch, so the outcome does not depend on the worker count.
-                for (size, _), res in zip(wave, results):
+            errors = all_errors[si]  # a view: each fold lands in all_errors
+            b = -1  # the last batch folded
+            while b + 1 < n_batches and errors.min() < cfg.target_errors:
+                wave = range(b + 1, min(b + 1 + cfg.threads, n_batches))
+                for b, res in zip(wave, list(run(partial(numbered_batch, si, n0), wave))):
                     errors += res
-                    symbols += size
-                    if stop():
+                    if errors.min() >= cfg.target_errors:
                         break
-            all_errors[si] = errors
-            all_bits[si] = symbols * bits_per
+            all_bits[si] = min((b + 1) * cfg.batch_size, cfg.max_symbols) * dims.bits_per_symbol
     return BerResult(snr_db=snr_grid, errors=all_errors, bits=all_bits)

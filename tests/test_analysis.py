@@ -654,6 +654,9 @@ def test_user_bep_rejects_bad_arguments(ref_cbs, geom):
     for kappa in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="kappa"):
             set_bep(ref_cbs, geom, kappa, 0.1)
+    for n0 in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="n0 must be finite and > 0"):
+            set_bep(ref_cbs, geom, 10.0, n0)
     # set_bep checks its arguments before choosing a bound: on a graph too
     # large for the exact bound, the argument errors come first.
     big = make_oversized_set()

@@ -154,6 +154,18 @@ def test_two_layer_toy_normalization():
     assert cbs.total_power() == pytest.approx(8.0, rel=1e-12)
 
 
+def test_from_codebooks_rejects_arrays_without_finite_positive_power():
+    # An all-zero array would rescale by 1/0 into NaN codewords; a nan entry poisons the total.
+    dims = SystemDims(2, 2, 4, 1)
+    books = np.zeros((2, 2, 4), dtype=complex)
+    with pytest.raises(ValueError, match="books must have finite, positive total power"):
+        CodebookSet.from_codebooks(books, dims)
+    books[0, 0, :] = [-2.0, -1.0, 1.0, 2.0]
+    books[1, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="books must have finite, positive total power"):
+        CodebookSet.from_codebooks(books, dims)
+
+
 def test_export_import_round_trip(tmp_path, ref_cbs):
     path = tmp_path / "set.txt"
     export_codebook_set(ref_cbs, path)

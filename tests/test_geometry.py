@@ -131,8 +131,9 @@ def test_validation_errors():
         ordered_distance_pdf(2, 6, 1.5)
     with pytest.raises(ValueError):
         expected_distance_ratio(7, 6)
-    with pytest.raises(ValueError):
-        sample_rician(4, -1.0, np.random.default_rng(0))
+    for kappa in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+            sample_rician(4, kappa, np.random.default_rng(0))
     for c1 in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="c1"):
             CellGeometry(radius_ratio_c1=c1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scma_ntn import CellGeometry, CodebookSet, SimConfig, SystemDims, run_ber_sweep
+from scma_ntn import CellGeometry, CodebookSet, SimConfig, SystemDims, run_ber_sweep, snr_db_to_n0
 from scma_ntn.simulator import _make_detector, _run_batch
 
 
@@ -88,13 +88,21 @@ def test_sweep_error_free_at_extreme_snr(ref_cbs):
 
 
 def test_sweep_deterministic_and_thread_invariant(ref_cbs):
-    base = dict(kappa=10.0, snr_grid_db=(8.0,), max_symbols=4000, target_errors=50, batch_size=1000)
-    res1 = run_ber_sweep(SimConfig(seed=7, threads=1, **base), ref_cbs)
-    res2 = run_ber_sweep(SimConfig(seed=7, threads=1, **base), ref_cbs)
-    res3 = run_ber_sweep(SimConfig(seed=7, threads=2, **base), ref_cbs)
-    assert np.array_equal(res1.errors, res2.errors)
-    assert np.array_equal(res1.errors, res3.errors)
-    assert np.array_equal(res1.bits, res3.bits)
+    # Point s runs batches b = 0, 1, ... of 300 codewords from SeedSequence((seed, s, b)); the
+    # cap of 2500 is no multiple of 300, so batch 8 sends 100.  With three threads the 8 dB
+    # point stops on errors at batch 1, in the middle of its first wave, and 20 dB at the cap.
+    base = dict(kappa=10.0, snr_grid_db=(0.0, 8.0, 20.0), max_symbols=2500, target_errors=40, batch_size=300, seed=7)
+    n0 = snr_db_to_n0(8.0, ref_cbs.dims)
+    for detector in ("mpa", "ml"):
+        runs = [run_ber_sweep(SimConfig(detector=detector, threads=t, **base), ref_cbs) for t in (1, 1, 2, 3)]
+        for res in runs[1:]:
+            assert np.array_equal(res.errors, runs[0].errors)
+            assert np.array_equal(res.bits, runs[0].bits)
+        assert (runs[0].bits[:, 0] // ref_cbs.dims.bits_per_symbol).tolist() == [300, 600, 2500]
+        cfg = SimConfig(detector=detector, **base)
+        detect = _make_detector(cfg, ref_cbs)
+        rngs = [np.random.default_rng(np.random.SeedSequence((7, 1, b))) for b in range(2)]
+        assert np.array_equal(runs[0].errors[1], sum(_run_batch(cfg, ref_cbs, detect, n0, 300, r) for r in rngs))
 
 
 def test_sweep_symmetric_orthogonal_users():
