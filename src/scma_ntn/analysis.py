@@ -52,7 +52,6 @@ __all__ = [
     "set_bep",
 ]
 
-_CHUNK = 1 << 17
 # Elements one chunk of the truncated bound's stacked sets may hold: their
 # MGF tables and one support's PEP.
 _STACK_ELEMENTS = 1 << 21
@@ -245,11 +244,11 @@ def _truncated_user_bep(sets, gains: np.ndarray, kappa: float, n0: float, e_star
     support's numpy calls once per chunk, not once per set.
 
     The tables are multiplied in ascending RN order, the PEP is gathered back
-    to ordered-pair order and summed in _CHUNK slices, and each column adds
-    up its supports in the enumeration's order, so every set's result equals
-    the enumeration's bit for bit.  Each slice is summed by np.vecdot, which
-    runs BLAS ddot on each (set, place) row as `w @ p` does; np.matmul would
-    run gemv and move the last ulp.
+    to ordered-pair order and summed against the bit weights in one np.vecdot,
+    and each column adds up its supports in the enumeration's order, so every
+    set's result equals the enumeration's bit for bit.  np.vecdot runs BLAS
+    ddot on each (set, place) row as `w @ p` does; np.matmul would run gemv
+    and move the last ulp.
     """
     totals = np.zeros(gains.shape)
     j_users, m = sets[0].dims.j_users, sets[0].dims.m_order
@@ -301,9 +300,7 @@ def _truncated_user_bep(sets, gains: np.ndarray, kappa: float, n0: float, e_star
                     rows = reduce(lambda r, u: np.add.outer(r * classes[u], inverse[u]).ravel(), support, 0)
                     pep = (pep[:, 0] / 12.0 + pep[:, 1] / 4.0).reshape(len(pep), size, -1).take(rows, axis=2)
                     # Place i's rows at its user's gain against place i's weights.
-                    dots = np.vecdot(pep[..., :_CHUNK], w[:, :_CHUNK])
-                    for c in range(_CHUNK, w.shape[1], _CHUNK):
-                        dots = dots + np.vecdot(pep[..., c : c + _CHUNK], w[:, c : c + _CHUNK])
+                    dots = np.vecdot(pep, w)
                     # Each user adds its supports in order onto 0, as the enumeration does.
                     sums[:, at] += float(m) ** (j_users - size) * dots
             totals[batch] = sums

@@ -29,7 +29,7 @@ from .optimizer import DesignSpace, GaConfig, run_ga
 from .simulator import BerResult, SimConfig, run_ber_sweep
 
 EXIT_OK = 0
-EXIT_USAGE = 2
+EXIT_USAGE = 2  # also an output path that cannot be created or written
 EXIT_CONFIG = 3
 EXIT_CODEBOOK = 4
 
@@ -64,6 +64,8 @@ def _snr_grid(text) -> tuple:
         raise ValueError("no values")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"non-finite value in {text!r}")
+    if list(grid) != sorted(grid):
+        raise ValueError(f"values must ascend, got {text!r}")
     return grid
 
 
@@ -126,12 +128,6 @@ def _geometry(cfg) -> CellGeometry:
     return CellGeometry(radius_ratio_c1=cfg["link"]["c1"], pathloss_alpha=cfg["link"]["alpha"])
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def write_manifest(path, payload: dict) -> None:
     """JSON run manifest; keys sorted so identical runs write identical files."""
     with open(path, "w") as fh:
@@ -158,7 +154,7 @@ def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
     )
 
 
-def _cmd_assign(args, cfg) -> int:
+def _cmd_assign(args, cfg, out: Path) -> int:
     dims = SystemDims(**cfg["system"])
     rhos = np.linspace(0.5, 1.0, dims.df_collisions)
     ops = tuple(ConstellationOperator(rho=float(r), theta=0.0) for r in rhos)
@@ -171,12 +167,11 @@ def _cmd_assign(args, cfg) -> int:
         f"power_sorted={report.power_sorted} support_regular={report.support_regular}"
     )
     if args.out:
-        out = _out_dir(args)
         _manifest(out, "assign", args, cfg, [])
     return EXIT_OK if report.ok else 1
 
 
-def _cmd_design(args, cfg) -> int:
+def _cmd_design(args, cfg, out: Path) -> int:
     design = cfg["design"]
     ga_cfg = GaConfig(
         population=design["population"],
@@ -189,7 +184,6 @@ def _cmd_design(args, cfg) -> int:
         workers=args.threads,
     )
     result = run_ga(DesignSpace(dims=SystemDims(**cfg["system"])), ga_cfg)
-    out = _out_dir(args)
     cb_path = out / "designed_codebook.txt"
     hist_path = out / "design_history.csv"
     export_codebook_set(result.codebooks, cb_path)
@@ -231,10 +225,9 @@ def _analyze_one(cbs, cfg):
     return np.array(rows)
 
 
-def _cmd_analyze(args, cfg) -> int:
+def _cmd_analyze(args, cfg, out: Path) -> int:
     cbs = import_codebook_set(args.codebook)
     table = _analyze_one(cbs, cfg)
-    out = _out_dir(args)
     path = out / "bep.csv"
     write_bep_csv(path, cfg["analysis"]["snr_grid"], table)
     _manifest(out, "analyze", args, cfg, [path])
@@ -258,11 +251,10 @@ def _sim_config(args, cfg) -> SimConfig:
     )
 
 
-def _cmd_simulate(args, cfg) -> int:
+def _cmd_simulate(args, cfg, out: Path) -> int:
     cbs = import_codebook_set(args.codebook)
     sim_cfg = _sim_config(args, cfg)
     result = run_ber_sweep(sim_cfg, cbs)
-    out = _out_dir(args)
     path = out / "ber.csv"
     result.write_csv(path)
     _manifest(out, "simulate", args, cfg, [path])
@@ -282,25 +274,27 @@ def _snr_at_ber(snr_grid, worst_curve, target: float):
     return None
 
 
-def _cmd_compare(args, cfg) -> int:
-    paths = args.codebook
+def _compare_usage(paths):
+    """Why compare cannot run on these --codebook files, or None."""
     if len(paths) < 2:
-        print("compare needs at least two --codebook files", file=sys.stderr)
-        return EXIT_USAGE
+        return "compare needs at least two --codebook files"
     # Every output names a codebook by its file name, so distinct files under one name would merge.
-    names = [Path(p).name for p in paths]
     files = {}
-    for name, p in zip(names, paths):
-        files.setdefault(name, set()).add(Path(p).resolve())
+    for p in paths:
+        files.setdefault(Path(p).name, set()).add(Path(p).resolve())
     shared = [name for name, found in files.items() if len(found) > 1]
     if shared:
-        print(f"compare names codebooks by file name; distinct files are named {', '.join(shared)}", file=sys.stderr)
-        return EXIT_USAGE
+        return f"compare names codebooks by file name; distinct files are named {', '.join(shared)}"
+    return None
+
+
+def _cmd_compare(args, cfg, out: Path) -> int:
+    paths = args.codebook
+    names = [Path(p).name for p in paths]
     if not 0 < args.target_ber < 1:
         raise ConfigError(f"target BER must be in (0, 1), got {args.target_ber:g}")
     sets = [import_codebook_set(p) for p in paths]
     snr_grid = cfg["analysis"]["snr_grid"]
-    out = _out_dir(args)
     outputs = []
     worst_curves = {}
     csv_path = out / "compare_bep.csv"
@@ -390,6 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    usage = _compare_usage(args.codebook) if args.command == "compare" else None
+    if usage:
+        print(usage, file=sys.stderr)
+        return EXIT_USAGE
     setting = ""  # the [section] key being parsed, named in its parse error
     try:
         cfg = _load_config(args.config, args)
@@ -398,10 +396,16 @@ def main(argv=None) -> int:
                 setting = f"[{sec}] {key}: "
                 vals[key] = _KEYS[key][0](text)
         setting = ""
-        return _COMMANDS[args.command][0](args, cfg)
-    except (CodebookFormatError, OSError) as exc:
+        # Made before the command runs, so a bad --out fails before any work.
+        out = Path(args.out or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command][0](args, cfg, out)
+    except CodebookFormatError as exc:
         print(f"codebook file error: {exc}", file=sys.stderr)
         return EXIT_CODEBOOK
+    except OSError as exc:  # the importer turns its own into CodebookFormatError, so this is an output
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"config error: {setting}{exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -157,17 +157,21 @@ def export_codebook_set(cbs: CodebookSet, path) -> None:
 def import_codebook_set(path) -> CodebookSet:
     """Read an interchange file back into a CodebookSet.
 
-    A file that is not text, dimension mismatches, a repeated dims record,
-    codebook blocks that are missing, repeated or hold other than M
-    codewords, and non-finite codeword values are errors; a total power off
-    J*M by more than 1e-9 (relative) only warns, so externally designed
-    baselines load.
+    A file that cannot be read or is not text, dimension mismatches, a
+    repeated dims record, a dims, delta, operator or codebook record with
+    other than 4, 1, 2 or 1 values, codebook blocks that are missing,
+    repeated or hold other than M codewords, non-finite codeword values and a
+    total power that overflows are errors (CodebookFormatError); a total
+    power off J*M by more than 1e-9 (relative) only warns, so externally
+    designed baselines load.
     """
     try:
         with open(path) as fh:
             raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     except UnicodeDecodeError as exc:
         raise CodebookFormatError(f"{path}: not a text file (undecodable byte at offset {exc.start})") from exc
+    except OSError as exc:
+        raise CodebookFormatError(f"{path}: cannot read ({exc.strerror})") from exc
     if not raw or not raw[0].startswith("format scma-codebook-set"):
         raise CodebookFormatError(f"{path}: not a codebook set file")
     dims = None
@@ -175,43 +179,45 @@ def import_codebook_set(path) -> CodebookSet:
     current = -1
     blocks: dict = {}  # each codebook block's codewords, so memory follows the file, not its dims record
     for ln in raw[1:]:
-        tok = ln.split()
-        key = tok[0]
+        key, *vals = ln.split()
+        arity = {"dims": 4, "delta": 1, "operator": 2, "codebook": 1}.get(key, len(vals))
+        if len(vals) != arity:
+            raise CodebookFormatError(f"{path}: {key} record has {len(vals)} values, expected {arity}")
         try:
             if key == "dims":
                 if dims is not None:
                     raise CodebookFormatError(f"{path}: dims repeated")
-                k, j, m, n = (int(t) for t in tok[1:5])
+                k, j, m, n = (int(t) for t in vals)
                 dims = SystemDims(k_resources=k, j_users=j, m_order=m, n_nonzero=n)
             elif key == "delta":
-                meta["delta"] = float(tok[1])
+                meta["delta"] = float(vals[0])
             elif key == "operator":
-                meta.setdefault("operators", []).append((float(tok[1]), float(tok[2])))
+                meta.setdefault("operators", []).append((float(vals[0]), float(vals[1])))
             elif key == "signature":
-                meta.setdefault("signature", []).append([int(t) for t in tok[1:]])
+                meta.setdefault("signature", []).append([int(t) for t in vals])
             elif key == "codebook":
                 if dims is None:
                     raise CodebookFormatError(f"{path}: codebook before dims")
-                current = int(tok[1]) - 1
+                current = int(vals[0]) - 1
                 if not 0 <= current < dims.j_users:
-                    raise CodebookFormatError(f"{path}: codebook index {tok[1]} out of range")
+                    raise CodebookFormatError(f"{path}: codebook index {vals[0]} out of range")
                 if current in blocks:
                     raise CodebookFormatError(f"{path}: codebook {current + 1} repeated")
                 blocks[current] = []
             elif key == "codeword":
-                vals = [float(t) for t in tok[1:]]
+                nums = [float(t) for t in vals]
                 if dims is None or current < 0:
                     raise CodebookFormatError(f"{path}: codeword outside a codebook block")
-                if len(vals) != 2 * dims.k_resources:
+                if len(nums) != 2 * dims.k_resources:
                     raise CodebookFormatError(
-                        f"{path}: codeword has {len(vals) // 2} entries, expected K = {dims.k_resources}"
+                        f"{path}: codeword has {len(nums)} numbers, expected 2K = {2 * dims.k_resources}"
                     )
                 if len(blocks[current]) >= dims.m_order:
                     raise CodebookFormatError(f"{path}: too many codewords in codebook {current + 1}")
-                blocks[current].append(np.array(vals[0::2]) + 1j * np.array(vals[1::2]))
+                blocks[current].append(np.array(nums[0::2]) + 1j * np.array(nums[1::2]))
             else:
                 raise CodebookFormatError(f"{path}: unknown record '{key}'")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             if isinstance(exc, CodebookFormatError):
                 raise
             raise CodebookFormatError(f"{path}: malformed line '{ln}'") from exc
@@ -229,7 +235,10 @@ def import_codebook_set(path) -> CodebookSet:
         raise CodebookFormatError(
             f"{path}: a codebook occupies more than N = {dims.n_nonzero} resource nodes"
         )
-    total = float(np.sum(np.abs(books) ** 2))
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        total = float(np.sum(np.abs(books) ** 2))
+    if total == np.inf:
+        raise CodebookFormatError(f"{path}: the codewords' total power overflows a float")
     target = dims.j_users * dims.m_order
     if abs(total - target) > NORMALIZATION_TOL * target:
         warnings.warn(

@@ -37,7 +37,6 @@ class MotherConstellation:
     rows: np.ndarray
     delta: float
     m_order: int
-    n_dims: int
 
 
 def pam_amplitudes(m_order: int, delta: float) -> np.ndarray:
@@ -62,7 +61,7 @@ def build_mother_constellation(m_order: int, n_dims: int, delta: float) -> Mothe
     even[0::2] = -amps
     even[1::2] = amps[::-1]
     rows = np.array([odd if (n + 1) % 2 == 1 else even for n in range(n_dims)])
-    return MotherConstellation(rows=rows, delta=float(delta), m_order=m_order, n_dims=n_dims)
+    return MotherConstellation(rows=rows, delta=float(delta), m_order=m_order)
 
 
 def dimension_energy(m_order: int, delta: float) -> float:

@@ -31,10 +31,8 @@ def _rn_costs(local: list, y: np.ndarray, channel: np.ndarray, n0: float) -> lis
 
 
 def _in_chunks(detect, step: int, y: np.ndarray, channel: np.ndarray, *args) -> np.ndarray:
-    """detect(y, channel, *args) over row chunks of at most step receptions, concatenated."""
-    if y.shape[0] <= step:
-        return detect(y, channel, *args)
-    return np.concatenate([detect(y[lo : lo + step], channel[lo : lo + step], *args) for lo in range(0, len(y), step)])
+    """detect(y, channel, *args) over row chunks of at most step receptions, concatenated; an empty batch is one chunk."""
+    return np.concatenate([detect(y[lo : lo + step], channel[lo : lo + step], *args) for lo in range(0, len(y) or 1, step)])
 
 
 class MlDetector:
@@ -92,9 +90,8 @@ class MpaDetector:
     """Max-log message passing over the factor graph.
 
     Works in the negative log domain (min-sum), which is underflow-free;
-    messages are normalized to min zero each pass.  iterations = 0 degrades
-    to per-user single-layer demapping that ignores interference.  An RN's
-    cost is (M,)*d + (B,) and each message (M, B).  Decisions are
+    messages are normalized to min zero each of the iterations >= 1 passes.
+    An RN's cost is (M,)*d + (B,) and each message (M, B).  Decisions are
     bit-identical to the batch-leading reference in tests/test_detection.py
     only while every floating-point addition keeps its order (cost + u_0 +
     u_1 + ..., beliefs summed over the edges in user_edges order, ext -
@@ -103,24 +100,21 @@ class MpaDetector:
     """
 
     def __init__(self, cbs: CodebookSet, iterations: int = 8):
-        if iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        if iterations < 1:
+            raise ValueError("iterations must be >= 1")
         self.iterations = iterations
         self.j_users, _, self.m_order = cbs.codebooks.shape
-        self.codebooks = cbs.codebooks
         self.rn_users = cbs.collision_sets()
         self.user_edges = [  # (k, position in rn_users[k])
             [(k, users.index(l)) for k, users in enumerate(self.rn_users) if l in users] for l in range(self.j_users)
         ]
-        self.local = _local_tables(self.codebooks, self.rn_users)
+        self.local = _local_tables(cbs.codebooks, self.rn_users)
         # Per RN and colliding user i, the other users' axes: the message to i minimizes over them.
         self.other_axes = [[tuple(a for a in range(len(us)) if a != i) for i in range(len(us))] for us in self.rn_users]
 
     def detect_batch(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
-        y, channel = np.atleast_2d(y), np.atleast_2d(channel)
-        if self.iterations == 0:
-            return self._single_user_batch(y, channel)
-        return _in_chunks(self._detect_chunk, 2048, y, channel, n0)  # message tensors grow as B * M^d_k
+        # Message tensors grow as B * M^d_k, so the batch runs in chunks of 2048.
+        return _in_chunks(self._detect_chunk, 2048, np.atleast_2d(y), np.atleast_2d(channel), n0)
 
     def _detect_chunk(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
         b, m = y.shape[0], self.m_order
@@ -148,14 +142,4 @@ class MpaDetector:
             if edges:
                 incoming = [rn_msg[k][pos] for k, pos in edges]
                 decisions[:, l] = np.argmin(sum(incoming[1:], incoming[0]), axis=0)
-        return decisions
-
-    def _single_user_batch(self, y: np.ndarray, channel: np.ndarray) -> np.ndarray:
-        b = y.shape[0]
-        decisions = np.zeros((b, self.j_users), dtype=np.int64)
-        for l in range(self.j_users):
-            ks = [k for k, _ in self.user_edges[l]]
-            resid = y[:, ks, None] - channel[:, ks, None] * self.codebooks[l, ks, :][None, :, :]
-            belief = np.sum(resid.real**2 + resid.imag**2, axis=1)
-            decisions[:, l] = np.argmin(belief, axis=1)
         return decisions

@@ -98,14 +98,6 @@ class SignatureMatrix:
     residuals: tuple = ()
 
     @property
-    def k_resources(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def j_users(self) -> int:
-        return self.entries.shape[1]
-
-    @property
     def support(self) -> np.ndarray:
         return (self.entries > 0).astype(int)
 

@@ -17,7 +17,7 @@ from .analysis import set_bep, snr_db_to_n0
 from .codebook import CodebookSet, build_codebook_set
 from .constellation import build_mother_constellation
 from .geometry import CellGeometry
-from .layering import ConstellationOperator, LayeringError, SystemDims, assign_layers_and_power
+from .layering import ConstellationOperator, SystemDims, assign_layers_and_power
 
 __all__ = [
     "DesignSpace",
@@ -171,27 +171,22 @@ def candidate_codebooks(cand: Candidate, space: DesignSpace) -> CodebookSet:
 def fitness(cand: Candidate, cfg: GaConfig, space: DesignSpace) -> float:
     """Worst-user BEP bound of the candidate's set at the design SNR.
 
-    Out-of-bounds or structurally infeasible candidates score +inf.
+    A candidate outside the operators' domain (delta < 1, rho outside
+    (0, 1], theta outside [0, pi)) raises their ValueError, and dims with no
+    layer packing raise LayeringError.
     """
     return _evaluate([cand], cfg, space)[0].fitness
 
 
 def _evaluate(population, cfg: GaConfig, space: DesignSpace):
-    """The candidates with their fitness set, every feasible one's bound from one set_bep call."""
-    lo, hi = space.lower(), space.upper()
-    sets = {}
-    for i, cand in enumerate(population):
-        vec = cand.as_vector()
-        if cand.delta <= 1.0 or np.any(vec < lo - 1e-12) or np.any(vec > hi + 1e-12):
-            continue
-        try:
-            sets[i] = candidate_codebooks(cand, space)
-        except (LayeringError, ValueError):
-            continue
+    """The candidates with their fitness set, every bound from one set_bep call.
+
+    run_ga draws every candidate through space.clip, so each one builds.
+    """
+    sets = [candidate_codebooks(c, space) for c in population]
     n0 = snr_db_to_n0(cfg.design_snr_db, space.dims)
-    bounds = set_bep(list(sets.values()), cfg.geometry, cfg.kappa, n0, truncation=cfg.truncation)
-    worst = {i: b.worst for i, b in zip(sets, bounds)}
-    return [replace(c, fitness=worst.get(i, float("inf"))) for i, c in enumerate(population)]
+    bounds = set_bep(sets, cfg.geometry, cfg.kappa, n0, truncation=cfg.truncation)
+    return [replace(c, fitness=b.worst) for c, b in zip(population, bounds)]
 
 
 def run_ga(space: DesignSpace, cfg: GaConfig) -> GaResult:

@@ -442,11 +442,9 @@ def test_truncated_kernel_with_idle_rn_absent_user_and_constant_user(mode):
         assert_truncated_equals_enumeration(cbs, 10.0, 9.0, mode, e_star)
 
 
-def test_truncated_kernel_sums_rows_in_chunks():
-    # At M = 8 a support of three users has 56^3 = 175616 ordered-pair rows,
-    # more than one _CHUNK slice holds, so the PEP sum is taken in two dots.
+def test_truncated_kernel_sums_a_support_of_many_rows():
+    # At M = 8 a support of three users has 56^3 = 175616 ordered-pair rows, summed in one dot.
     cbs = make_codebook_set(1.5, (0.3, 0.6, 1.0), (0.0, np.pi / 3, 2 * np.pi / 3), SystemDims(4, 6, 8, 2))
-    assert 56**3 > analysis_mod._CHUNK
     assert_truncated_equals_enumeration(cbs, 10.0, 12.0, "mean", 3, users=[2])
 
 

@@ -4,13 +4,14 @@ import io
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scma_ntn import CodebookSet, export_codebook_set
+from scma_ntn import CodebookSet, assign_layers_and_power, cli, export_codebook_set, optimizer
 from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
 
 from conftest import make_codebook_set, make_oversized_set
@@ -26,6 +27,8 @@ BAD_VALUES = {
     "simulate-threads-0": (["simulate", "--threads", "0"], None),
     "simulate-descending-grid": (["simulate", "--snr-grid", "12,8"], None),
     "simulate-negative-iterations": (["simulate", "--iterations", "-1"], None),
+    "simulate-iterations-0": (["simulate", "--iterations", "0"], None),
+    "compare-unsorted-grid": (["compare", "--snr-grid", "24,0,18,6,12"], None),
     "simulate-max-symbols-0": (["simulate"], "[simulate]\nmax_symbols = 0\n"),
     "analyze-truncation-0": (["analyze", "--truncation", "0"], None),
     "analyze-truncation-word": (["analyze"], "[analysis]\ntruncation = several\n"),
@@ -290,6 +293,51 @@ def test_infeasible_dims_exit_code(capsys):
     assert main(["assign", "--k-resources", "4", "--j-users", "5", "--n-nonzero", "2"]) == EXIT_CONFIG
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("the command ran before its output directory was made")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize("command", ["assign", "design", "analyze", "simulate", "compare"])
+def test_bad_out_exits_2_before_the_command_runs(
+    command, under, tmp_path, codebook_file, second_codebook_file, monkeypatch, capsys
+):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    argv = [command, "--out", str(blocker / "sub" if under else blocker)]
+    books = {"analyze": [codebook_file], "simulate": [codebook_file], "compare": [codebook_file, second_codebook_file]}
+    for book in books.get(command, []):
+        argv += ["--codebook", book]
+    for name in ("assign_layers_and_power", "run_ga", "set_bep", "run_ber_sweep", "import_codebook_set"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("output error: ") and "Traceback" not in err
+
+
+def test_unwritable_output_file_exits_2(tmp_path, codebook_file, capsys):
+    (tmp_path / "bep.csv").mkdir()
+    assert main(["analyze", "--codebook", codebook_file, "--snr-grid", "6", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("output error: ") and "bep.csv" in err
+
+
+def test_design_on_dims_with_no_packing_builds_once(tmp_path, monkeypatch, capsys):
+    # 4x8 with N = 2 asks for 8 layers of the C(4,2) = 6 patterns; the first candidate finds out.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return assign_layers_and_power(*args)
+
+    monkeypatch.setattr(optimizer, "assign_layers_and_power", counted)
+    argv = ["design", "--k-resources", "4", "--j-users", "8", "--n-nonzero", "2"]
+    assert main(argv + ["--population", "6", "--generations", "2", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "J = 8 exceeds" in err
+
+
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_bad_value_exits_3_with_one_line(case, tmp_path, codebook_file, big_codebook_file, capsys):
     argv, ini = BAD_VALUES[case]
@@ -384,3 +432,50 @@ def test_float_settings_exit_0_or_3_with_one_line(
     assert code in (EXIT_OK, EXIT_CONFIG), (argv, code, err.getvalue())
     if code == EXIT_CONFIG:
         assert len(err.getvalue().strip().splitlines()) == 1 and "Traceback" not in err.getvalue(), argv
+
+
+# Values a mutation writes over or after a token of a codebook file.
+ODD_TOKENS = ("nan", "inf", "0", "-1", "1e300")
+
+
+def mutated_codebook_text(data, text: str) -> bytes:
+    """text with one token dropped, repeated, replaced by or followed by an odd value, or one undecodable byte."""
+    kind = data.draw(st.sampled_from(["drop", "repeat", "append", "replace", "byte"]))
+    if kind == "byte":
+        raw = text.encode()
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + data.draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"])) + raw[at:]
+    lines = [ln.split() for ln in text.splitlines()]
+    # The first 12 lines hold every kind of record, so they are drawn more often than codeword lines.
+    row = lines[data.draw(st.one_of(st.integers(0, 11), st.integers(0, len(lines) - 1)))]
+    at = data.draw(st.integers(0, len(row) - 1))
+    if kind == "drop":
+        del row[at]
+    elif kind == "repeat":
+        row.insert(at, row[at])
+    elif kind == "append":
+        row.append(data.draw(st.sampled_from(ODD_TOKENS)))
+    else:
+        row[at] = data.draw(st.sampled_from(ODD_TOKENS))
+    return "".join(" ".join(r) + "\n" for r in lines).encode()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_codebook_files_exit_0_3_or_4_with_one_line(small_run_dir, codebook_file, data):
+    # Every file analyze accepts also runs through a tiny simulate with each detector.
+    path = small_run_dir / "mutated.txt"
+    path.write_bytes(mutated_codebook_text(data, Path(codebook_file).read_text()))
+    common = ["--codebook", str(path), "--out", str(small_run_dir / "out"), "--threads", "1"]
+    sim = ["simulate", "--config", str(small_run_dir / "small.ini")]
+    for argv in (["analyze"], sim + ["--detector", "mpa"], sim + ["--detector", "ml"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + common)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CODEBOOK), (argv, code, err.getvalue())
+        if code != EXIT_OK:
+            assert len(err.getvalue().strip().splitlines()) == 1 and "Traceback" not in err.getvalue(), argv
+            break
+        if argv == ["analyze"]:  # an accepted file has a bound
+            assert "nan" not in (small_run_dir / "out" / "bep.csv").read_text()

@@ -260,6 +260,7 @@ NON_FINITE = "a codeword holds a non-finite value"
         pytest.param(set_entry("inf", zero=False), NON_FINITE, id="inf-over-nonzero"),
         pytest.param(set_entry("-inf", zero=False), NON_FINITE, id="minus-inf-over-nonzero"),
         pytest.param(set_entry("nan", zero=True), NON_FINITE, id="nan-over-zero"),
+        pytest.param(set_entry("1e300", zero=False), "total power overflows", id="huge-over-nonzero"),
     ],
 )
 def test_import_rejects_incomplete_codebook_blocks(tmp_path, ref_cbs, mangle, message):
@@ -268,6 +269,42 @@ def test_import_rejects_incomplete_codebook_blocks(tmp_path, ref_cbs, mangle, me
     path.write_text("\n".join(mangle(path.read_text().splitlines())) + "\n")
     with pytest.raises(CodebookFormatError, match=message):
         import_codebook_set(path)
+
+
+def append_to(prefix, token):
+    """A mangle that appends token to the first line starting with prefix."""
+
+    def mangle(lines):
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        return lines[:at] + [f"{lines[at]} {token}"] + lines[at + 1 :]
+
+    return mangle
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        pytest.param(append_to("dims ", "99"), "dims record has 5 values, expected 4", id="dims"),
+        pytest.param(append_to("delta ", "junk"), "delta record has 2 values, expected 1", id="delta"),
+        pytest.param(append_to("operator ", "0.5"), "operator record has 3 values, expected 2", id="operator"),
+        pytest.param(append_to("codebook 1", "7"), "codebook record has 2 values, expected 1", id="codebook"),
+        pytest.param(append_to("codeword ", "5"), "codeword has 9 numbers, expected 2K = 8", id="codeword"),
+        pytest.param(lambda lines: lines[:1] + ["dims 4 6 4"] + lines[2:], "dims record has 3 values", id="short-dims"),
+    ],
+)
+def test_import_rejects_records_of_the_wrong_length(tmp_path, ref_cbs, mangle, message):
+    path = tmp_path / "set.txt"
+    export_codebook_set(ref_cbs, path)
+    path.write_text("\n".join(mangle(path.read_text().splitlines())) + "\n")
+    with pytest.raises(CodebookFormatError, match=message):
+        import_codebook_set(path)
+
+
+def test_import_reports_an_unreadable_path_as_a_format_error(tmp_path):
+    with pytest.raises(CodebookFormatError, match="missing.txt: cannot read"):
+        import_codebook_set(tmp_path / "missing.txt")
+    with pytest.raises(CodebookFormatError, match="cannot read"):
+        import_codebook_set(tmp_path)
 
 
 # Headers whose J x K x M complex array outgrows a 57-bit address space, with a huge J, K or M.

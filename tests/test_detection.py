@@ -282,15 +282,11 @@ def test_mpa_agreement_with_ml_on_loopy_graph(ref_cbs):
     assert agreement >= 0.98
 
 
-def test_mpa_zero_iterations_is_interference_blind_demapping(ref_cbs):
-    tx, y, h, n0 = _received_batch(ref_cbs, 10.0, 500, seed=6)
-    got = MpaDetector(ref_cbs, iterations=0).detect_batch(y, h, n0)
-    want = np.zeros_like(got)
-    for l in range(6):
-        ks = np.nonzero(ref_cbs.supports()[l])[0]
-        resid = y[:, ks, None] - h[:, ks, None] * ref_cbs.codebooks[l, ks, :][None, :, :]
-        want[:, l] = np.argmin(np.sum(np.abs(resid) ** 2, axis=1), axis=1)
-    assert np.array_equal(got, want)
+def test_mpa_rejects_zero_iterations(ref_cbs):
+    # Message passing needs at least one pass.
+    for iterations in (0, -1):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            MpaDetector(ref_cbs, iterations=iterations)
 
 
 def test_detection_invariant_common_phase(ref_cbs):

@@ -177,8 +177,9 @@ def test_sim_config_validation():
         SimConfig(max_symbols=0)
     with pytest.raises(ValueError):
         SimConfig(threads=0)
-    with pytest.raises(ValueError):
-        SimConfig(iterations=-1)
+    for iterations in (0, -1):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            SimConfig(iterations=iterations)
     with pytest.raises(ValueError, match="seed"):
         SimConfig(seed=-1)
     for name in ("max_symbols", "target_errors", "batch_size", "threads", "iterations", "seed"):

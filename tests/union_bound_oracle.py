@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 
-from scma_ntn.analysis import _CHUNK, rician_mgf
+from scma_ntn.analysis import rician_mgf
 
 
 def _difference_tables(cbs):
@@ -53,10 +53,5 @@ def enumerate_user_bep(cbs, target, gammas, kappa, n0, max_users_in_error):
             mult = float(m) ** (j_users - len(users))
             abs2 = np.abs(agg) ** 2
             for gi, gamma in enumerate(gammas):
-                acc = 0.0
-                for lo in range(0, abs2.shape[0], _CHUNK):
-                    hi = lo + _CHUNK
-                    sk = abs2[lo:hi] / (n0 * gamma)
-                    acc += float(weights[lo:hi] @ _pep_from_sk(sk, kappa))
-                totals[gi] += mult * acc
+                totals[gi] += mult * float(weights @ _pep_from_sk(abs2 / (n0 * gamma), kappa))
     return totals
