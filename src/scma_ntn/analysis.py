@@ -278,7 +278,7 @@ def _truncated_user_bep(sets, gains: np.ndarray, kappa: float, n0: float, e_star
             batch = members[first : first + chunk]
             stacked = [np.stack([lumped[s][0][u] for s in batch]) for u in range(j_users)]
             shared = np.concatenate(
-                [_mgf_tables([v[b : b + 1] for v in stacked], keys, scale[s], kappa) for b, s in enumerate(batch)]
+                [_mgf_tables([v[b : b + 1] for v in stacked], keys, scale[[s]], kappa) for b, s in enumerate(batch)]
             )
             tables = {key: shared[..., lo:hi] for key, lo, hi in zip(keys, cells, cells[1:])}
             sums = np.zeros((len(batch), j_users))
@@ -311,9 +311,9 @@ def _mgf_tables(vectors, keys, scale: np.ndarray, kappa: float) -> np.ndarray:
     """MGF at s/4 and s/3 of each (RN k, users) key's class sums, for a leading axis of sets.
 
     vectors holds each user's class vectors (B, C_u, K), and s is
-    |sum_u d_u[k]|^2 / scale for each scale, which is (G,) for every set or
-    (B, G) per set.  Returns (B, 2, G, cells): each key's classes, flattened,
-    follow the previous key's; no keys give no cells.
+    |sum_u d_u[k]|^2 / scale for each of a set's G scales, scale (B, G).
+    Returns (B, 2, G, cells): each key's classes, flattened, follow the
+    previous key's; no keys give no cells.
     """
 
     def outer(a, v):  # np.add.outer(a, v) of every set's rows

@@ -128,30 +128,24 @@ def _geometry(cfg) -> CellGeometry:
     return CellGeometry(radius_ratio_c1=cfg["link"]["c1"], pathloss_alpha=cfg["link"]["alpha"])
 
 
-def write_manifest(path, payload: dict) -> None:
+def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
     """JSON run manifest; keys sorted so identical runs write identical files."""
-    with open(path, "w") as fh:
+    payload = {
+        "command": command,
+        "version": __version__,
+        "seed": args.seed,
+        "config": cfg,
+        "outputs": [str(p) for p in outputs],
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
+    }
+    with open(out / f"{command}_manifest.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-
-
-def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
-    write_manifest(
-        out / f"{command}_manifest.json",
-        {
-            "command": command,
-            "version": __version__,
-            "seed": args.seed,
-            "config": cfg,
-            "outputs": [str(p) for p in outputs],
-            "environment": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "cpu_count": os.cpu_count(),
-            },
-        },
-    )
 
 
 def _cmd_assign(args, cfg, out: Path) -> int:
@@ -408,6 +402,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"config error: {setting}{exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # settings such as --population whose arrays the host cannot hold
+        print(f"config error: the settings need more memory than the host has ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

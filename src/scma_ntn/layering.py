@@ -9,6 +9,7 @@ total power, which later pairs low-power codebooks with near users.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -101,12 +102,9 @@ class SignatureMatrix:
     def support(self) -> np.ndarray:
         return (self.entries > 0).astype(int)
 
-    def operator_rhos(self) -> np.ndarray:
-        return np.array([op.rho for op in self.operators])
-
     def column_powers(self) -> np.ndarray:
         """Total power per column: sum of rho^2 over its operators."""
-        rho2 = np.concatenate(([0.0], self.operator_rhos() ** 2))  # entry 0 is vacant
+        rho2 = np.concatenate(([0.0], np.array([op.rho for op in self.operators]) ** 2))  # entry 0 is vacant
         return rho2[self.entries].sum(axis=0)
 
 
@@ -130,6 +128,7 @@ def _patterns(k: int, n: int) -> list:
     return [frozenset(rows) for rows in combinations(range(k), n)]
 
 
+@lru_cache(maxsize=64)
 def _pack_layers(k: int, n: int, d_f: int, n_group: int, n_residual: int):
     """Pack d_f orthogonal groups of L = n_group layers plus R residual layers.
 
@@ -139,7 +138,8 @@ def _pack_layers(k: int, n: int, d_f: int, n_group: int, n_residual: int):
     each group's leader after the previous group's leader; a group's layers
     share no RN and no RN exceeds degree d_f.  J*N = K*d_f ones with no row
     above d_f leave every RN at degree exactly d_f.  Returns the K x J
-    boolean support, column s the pattern of slot s, or None.
+    boolean support, column s the pattern of slot s, read-only, or None.
+    The search runs once per argument tuple, so a GA run pays it once.
     """
     pats = _patterns(k, n)
     n_grouped = n_group * d_f
@@ -172,7 +172,11 @@ def _pack_layers(k: int, n: int, d_f: int, n_group: int, n_residual: int):
                 row_deg[r] -= 1
         return False
 
-    return np.array([[r in pats[p] for p in chosen] for r in range(k)]) if dfs(0) else None
+    if not dfs(0):
+        return None
+    support = np.array([[r in pats[p] for p in chosen] for r in range(k)])
+    support.flags.writeable = False
+    return support
 
 
 def assign_layers_and_power(operators, dims: SystemDims) -> SignatureMatrix:

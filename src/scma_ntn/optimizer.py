@@ -10,6 +10,7 @@ mutation minimizes it.  Runs are bit-reproducible for a given seed.
 import csv
 from dataclasses import dataclass, field, replace
 from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,14 +75,19 @@ class DesignSpace:
 
 @dataclass(frozen=True)
 class GaConfig:
-    """GA settings; defaults follow the documented reproducible recipe."""
+    """GA settings; defaults follow the documented reproducible recipe.
 
+    elitism, the candidates each generation keeps, is fixed with TOURNAMENT
+    and the rates.  Counts are integers >= 1, population >= elitism + 1 and
+    seed >= 0.
+    """
+
+    elitism: ClassVar[int] = 2
     population: int = 50
     generations: int = 20
     design_snr_db: float = 12.0
     kappa: float = 10.0
     geometry: CellGeometry = field(default_factory=CellGeometry)
-    elitism: int = 2
     truncation: int | None = 3
     seed: int = 0
     # Accepted and validated, but changes neither results nor speed: every
@@ -89,19 +95,11 @@ class GaConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("population", "generations", "elitism", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if not 0 <= self.elitism < self.population:
-            raise ValueError("elitism must be in [0, population)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        counts = {"population": self.elitism + 1, "generations": 1, "workers": 1, "seed": 0}
+        for name, least in counts.items():
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not np.isfinite(self.design_snr_db):
@@ -154,10 +152,10 @@ class GaResult:
                 writer.writerow([g + 1, format(v, ".12g")])
 
 
-def baseline_candidate(space: DesignSpace, delta: float = 2.0) -> Candidate:
-    """Equal-power, unrotated reference point (users in a group coincide)."""
+def baseline_candidate(space: DesignSpace) -> Candidate:
+    """Equal-power, unrotated reference point (users in a group coincide), at delta = 2."""
     d = space.n_operators
-    return Candidate(delta=delta, rhos=(1.0,) * d, thetas=(0.0,) * d)
+    return Candidate(delta=2.0, rhos=(1.0,) * d, thetas=(0.0,) * d)
 
 
 def candidate_codebooks(cand: Candidate, space: DesignSpace) -> CodebookSet:
@@ -192,8 +190,8 @@ def _evaluate(population, cfg: GaConfig, space: DesignSpace):
 def run_ga(space: DesignSpace, cfg: GaConfig) -> GaResult:
     """Generational GA with elitism; history of best fitness per generation.
 
-    With elitism >= 1 the history is non-increasing.  The returned codebook
-    set is rebuilt from the best-ever candidate.
+    The elite carry over, so the history is non-increasing.  The returned
+    codebook set is rebuilt from the best-ever candidate.
     """
     rng = np.random.default_rng(cfg.seed)
     n_ops = space.n_operators

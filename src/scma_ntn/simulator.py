@@ -28,7 +28,7 @@ __all__ = ["SimConfig", "BerResult", "run_ber_sweep"]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sweep settings: link parameters, SNR grid, stopping rule, detector."""
+    """Sweep settings: link parameters, SNR grid, stopping rule, detector; counts >= 1, seed >= 0."""
 
     kappa: float = 10.0
     geometry: CellGeometry = field(default_factory=CellGeometry)
@@ -42,17 +42,11 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("max_symbols", "target_errors", "batch_size", "threads", "iterations", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.max_symbols < 1 or self.target_errors < 1 or self.batch_size < 1:
-            raise ValueError("counts must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        counts = {"max_symbols": 1, "target_errors": 1, "batch_size": 1, "threads": 1, "iterations": 1, "seed": 0}
+        for name, least in counts.items():
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not np.all(np.isfinite(self.snr_grid_db)):

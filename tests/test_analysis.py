@@ -603,10 +603,20 @@ def test_user_bep_truncation_gap_documented(ref_cbs, geom):
 
 def test_user_bep_kappa_zero_equals_rayleigh_substitution(reduced_cbs, geom, monkeypatch):
     n0 = 0.4
-    got = set_bep(reduced_cbs, geom, 0.0, n0).per_user
-    monkeypatch.setattr(analysis_mod, "rician_mgf", lambda s, kappa: 1.0 / (1.0 + np.asarray(s)))
-    rayleigh = set_bep(reduced_cbs, geom, 0.0, n0).per_user
-    assert np.all(np.abs(got - rayleigh) <= 1e-12)
+    truncations = [2, None]
+    got = [set_bep(reduced_cbs, geom, 0.0, n0, truncation=e).per_user for e in truncations]
+    calls = []
+
+    def rayleigh_mgf(s, kappa):
+        calls.append(kappa)
+        return 1.0 / (1.0 + np.asarray(s))
+
+    monkeypatch.setattr(analysis_mod, "rician_mgf", rayleigh_mgf)
+    for e, want in zip(truncations, got):
+        calls.clear()
+        rayleigh = set_bep(reduced_cbs, geom, 0.0, n0, truncation=e).per_user
+        assert calls, f"truncation={e}: the substitution does not reach the kernel"
+        assert np.all(np.abs(want - rayleigh) <= 1e-12)
 
 
 @pytest.mark.parametrize("truncation", [2, None])

@@ -22,6 +22,7 @@ BIG = "<6x20 codebook>"
 # Each bad value must end in exit 3 with a one-line message; None is no config file.
 BAD_VALUES = {
     "design-population-1": (["design", "--population", "1"], None),
+    "design-population-2": (["design", "--population", "2"], None),  # no room for a child beside the 2 elite
     "design-threads-0": (["design", "--threads", "0"], None),
     "design-nan-snr": (["design", "--population", "3", "--generations", "1", "--design-snr-db", "nan"], None),
     "simulate-threads-0": (["simulate", "--threads", "0"], None),
@@ -30,6 +31,7 @@ BAD_VALUES = {
     "simulate-iterations-0": (["simulate", "--iterations", "0"], None),
     "compare-unsorted-grid": (["compare", "--snr-grid", "24,0,18,6,12"], None),
     "simulate-max-symbols-0": (["simulate"], "[simulate]\nmax_symbols = 0\n"),
+    "simulate-batch-size-0": (["simulate"], "[simulate]\nbatch_size = 0\n"),
     "analyze-truncation-0": (["analyze", "--truncation", "0"], None),
     "analyze-truncation-word": (["analyze"], "[analysis]\ntruncation = several\n"),
     "analyze-truncation-flag-word": (["analyze", "--truncation", "abc"], None),
@@ -61,6 +63,18 @@ BAD_VALUES = {
     "analyze-c1-1e200": (["analyze", "--c1", "1e200"], None),
     "simulate-alpha-5000": (["simulate", "--alpha", "5000"], None),
     "simulate-c1-1e200": (["simulate", "--c1", "1e200"], None),
+    # Arrays of 10**15 rows, which no 64-bit host can map, so the test touches no memory.
+    "design-population-1e15": (["design", "--population", str(10**15)], None),
+    "simulate-batch-1e15": (["simulate"], f"[simulate]\nmax_symbols = {10**15}\nbatch_size = {10**15}\n"),
+}
+
+# What the message of each of these BAD_VALUES cases must say.
+NAMED = {
+    "design-population-2": "population must be an integer >= 3, got 2",
+    "simulate-max-symbols-0": "max_symbols must be an integer >= 1, got 0",
+    "simulate-batch-size-0": "batch_size must be an integer >= 1, got 0",
+    "design-population-1e15": "more memory than the host has",
+    "simulate-batch-1e15": "more memory than the host has",
 }
 
 
@@ -352,6 +366,7 @@ def test_bad_value_exits_3_with_one_line(case, tmp_path, codebook_file, big_code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("config error: ") and "Traceback" not in err
+    assert NAMED.get(case, "") in err
 
 
 def test_simulate_with_a_user_on_no_rn_exits_0(tmp_path, small_run_dir, capsys):
@@ -432,6 +447,85 @@ def test_float_settings_exit_0_or_3_with_one_line(
     assert code in (EXIT_OK, EXIT_CONFIG), (argv, code, err.getvalue())
     if code == EXIT_CONFIG:
         assert len(err.getvalue().strip().splitlines()) == 1 and "Traceback" not in err.getvalue(), argv
+
+
+# Valid texts of each config key, within caps that keep a run cheap: J <= 6, M <= 8,
+# population <= 4, generations <= 1 and max_symbols <= 256.
+VALID_TEXTS = {
+    "k_resources": st.integers(1, 6).map(str),
+    "j_users": st.integers(1, 6).map(str),
+    "m_order": st.sampled_from(["2", "4", "8"]),
+    "n_nonzero": st.integers(1, 4).map(str),
+    "kappa": st.floats(0.0, 20.0).map(repr),
+    "alpha": st.floats(1.0, 6.0).map(repr),
+    "c1": st.floats(0.1, 10.0).map(repr),
+    "snr_grid": st.lists(st.integers(-10, 30), min_size=1, max_size=3, unique=True).map(
+        lambda grid: ",".join(map(str, sorted(grid)))
+    ),
+    "truncation": st.sampled_from(["1", "2", "3", "none"]),
+    "max_symbols": st.integers(1, 256).map(str),
+    "target_errors": st.integers(1, 200).map(str),
+    "detector": st.sampled_from(["mpa", "ml"]),
+    "iterations": st.integers(1, 8).map(str),
+    "batch_size": st.integers(1, 256).map(str),
+    "population": st.integers(3, 4).map(str),
+    "generations": st.just("1"),
+    "design_snr_db": st.floats(-10.0, 30.0).map(repr),
+}
+# Texts that are malformed, out of range or non-finite for a key; none raises a cap.
+ODD_TEXTS = ("", "x", "1.5", "1,2", "0", "-1", "1e300", "-1e300", "nan", "inf", "-inf")
+# Keys a section always sets, so that no default above the caps runs.
+CAPPED = {"design": ("population", "generations"), "simulate": ("max_symbols",)}
+
+
+@st.composite
+def config_text(draw):
+    """An INI text of every section of cli._DEFAULTS with valid values and at most one fault.
+
+    The fault is an odd value, a duplicate section or key, an unknown section or a [DEFAULT] one.
+    """
+    assert set(VALID_TEXTS) == set(cli._KEYS)
+    sections = []
+    for sec, defaults in cli._DEFAULTS.items():
+        keys = [key for key in defaults if key in CAPPED.get(sec, ()) or draw(st.booleans())]
+        sections.append([f"[{sec}]"] + [f"{key} = {draw(VALID_TEXTS[key])}" for key in keys])
+    sections = draw(st.permutations(sections))
+    # About half the texts have no fault.
+    faults = ["odd-value", "duplicate-section", "duplicate-key", "unknown-section", "DEFAULT"]
+    fault = draw(st.sampled_from(["none"] * len(faults) + faults))
+    lines = draw(st.sampled_from(sections))  # the section the fault falls in or beside
+    if fault == "odd-value" and len(lines) > 1:
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at] = lines[at].split("=")[0] + "= " + draw(st.sampled_from(ODD_TEXTS))
+    elif fault == "duplicate-section":
+        sections.append([lines[0], "kappa = 5"])
+    elif fault == "duplicate-key":
+        lines += lines[1:2]
+    elif fault in ("unknown-section", "DEFAULT"):
+        header = "[extra]" if fault == "unknown-section" else "[DEFAULT]"
+        sections.insert(draw(st.integers(0, len(sections))), [header, "kappa = 5"])
+    return "".join(line + "\n" for lines in sections for line in lines)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["assign", "analyze", "design", "simulate"]),
+    text=config_text(),
+    threads=st.integers(1, 2),
+)
+def test_config_texts_exit_0_2_3_or_4_with_one_line(small_run_dir, codebook_file, command, text, threads):
+    path = small_run_dir / "drawn.ini"
+    path.write_text(text)
+    argv = [command, "--config", str(path), "--out", str(small_run_dir / "out"), "--threads", str(threads)]
+    if command in ("analyze", "simulate"):
+        argv += ["--codebook", codebook_file]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_CODEBOOK), (argv, text, code, err.getvalue())
+    if code != EXIT_OK:
+        assert len(err.getvalue().strip().splitlines()) == 1 and "Traceback" not in err.getvalue(), (text, err)
 
 
 # Values a mutation writes over or after a token of a codebook file.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scma_ntn import optimizer
+from scma_ntn import layering, optimizer
 from scma_ntn import (
     Candidate,
     CellGeometry,
@@ -145,8 +145,12 @@ def test_config_validation():
         GaConfig(population=1)
     with pytest.raises(ValueError):
         GaConfig(generations=0)
-    with pytest.raises(ValueError):
-        GaConfig(population=4, elitism=4)
+    # elitism is fixed with the recipe: the population must hold the elite and one child.
+    assert GaConfig().elitism == 2
+    with pytest.raises(TypeError):
+        GaConfig(elitism=3)
+    with pytest.raises(ValueError, match="population must be an integer >= 3, got 2"):
+        GaConfig(population=2)
     for workers in (0, -1):
         with pytest.raises(ValueError):
             GaConfig(workers=workers)
@@ -161,7 +165,7 @@ def test_config_validation():
     for truncation in (0, -2, 2.0, "3"):
         with pytest.raises(ValueError, match="truncation"):
             GaConfig(truncation=truncation)
-    for name in ("population", "generations", "elitism", "seed"):
+    for name in ("population", "generations", "workers", "seed"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             GaConfig(**{name: 1.5})
     GaConfig(kappa=0.0, truncation=None)
@@ -172,6 +176,24 @@ def test_candidate_codebooks_normalized(space):
     cand = Candidate(delta=3.0, rhos=(0.2, 0.7, 0.9), thetas=(0.4, 1.4, 2.4))
     cbs = candidate_codebooks(cand, space)
     assert cbs.total_power() == pytest.approx(24.0, abs=1e-9)
+
+
+def test_run_ga_searches_the_packing_once_per_dims(monkeypatch):
+    # Every candidate assigns layers, but the packing depends only on dims.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return assign_layers_and_power(*args)
+
+    monkeypatch.setattr(optimizer, "assign_layers_and_power", counted)
+    layering._pack_layers.cache_clear()
+    for dims in (SystemDims(4, 6, 4, 2), SystemDims(5, 10, 4, 2)):
+        run_ga(DesignSpace(dims=dims), GaConfig(population=4, generations=2, truncation=1))
+    info = layering._pack_layers.cache_info()
+    assert len(calls) == 2 * (4 + 2 * 2 + 1)
+    assert (info.misses, info.hits) == (2, len(calls) - 2)
+    assert not layering._pack_layers(4, 2, 3, 2, 0).flags.writeable
 
 
 def test_design_path_at_double_overload():

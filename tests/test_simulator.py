@@ -173,12 +173,12 @@ def test_sim_config_validation():
         SimConfig(snr_grid_db=(10.0, 5.0))
     with pytest.raises(ValueError):
         SimConfig(detector="zf")
-    with pytest.raises(ValueError):
-        SimConfig(max_symbols=0)
-    with pytest.raises(ValueError):
-        SimConfig(threads=0)
+    # Each count names itself when it is below its least value.
+    for name in ("max_symbols", "target_errors", "batch_size", "threads", "iterations"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got 0"):
+            SimConfig(**{name: 0})
     for iterations in (0, -1):
-        with pytest.raises(ValueError, match="iterations must be >= 1"):
+        with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
             SimConfig(iterations=iterations)
     with pytest.raises(ValueError, match="seed"):
         SimConfig(seed=-1)
