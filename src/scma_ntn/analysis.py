@@ -171,16 +171,15 @@ def _contraction_plan(scopes: tuple, domain_sizes: tuple, limit: int):
     """Einsum subscripts and greedy path contracting one table per scope over a leading batch axis.
 
     scopes holds each operand's users: each busy RN's, then each single user
-    for its weights.  domain_sizes holds each user's number of values.
+    for its weights, so users run 0..J-1 and user u is labelled
+    string.ascii_letters[u].  domain_sizes holds each user's number of values.
     Returns the subscripts ("...ab,...a,...b->..."), the path, which numpy's
     einsum runs with each pairwise step as a batched matrix product, and,
     per batch entry, the largest table or step and the most elements held
     at once.  The path is searched once per graph, domain and limit.
     """
-    placed = sorted({u for users in scopes for u in users})
-    labels = {u: string.ascii_letters[i] for i, u in enumerate(placed)}
-    sizes = {labels[u]: domain_sizes[u] for u in placed}
-    terms = ["".join(labels[u] for u in users) for users in scopes]
+    sizes = dict(zip(string.ascii_letters, domain_sizes))
+    terms = ["".join(string.ascii_letters[u] for u in users) for users in scopes]
     shapes = [np.broadcast_to(0.0, [sizes[a] for a in t]) for t in terms]
     # numpy's default limit is the largest input, which on 4x6 forbids every pairwise step.
     path, _ = np.einsum_path(",".join(terms) + "->", *shapes, optimize=("greedy", limit))

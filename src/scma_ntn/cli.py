@@ -26,7 +26,7 @@ from .codebook import CodebookFormatError, export_codebook_set, import_codebook_
 from .geometry import CellGeometry
 from .layering import ConstellationOperator, SystemDims, assign_layers_and_power, validate_signature
 from .optimizer import DesignSpace, GaConfig, run_ga
-from .simulator import BerResult, SimConfig, run_ber_sweep
+from .simulator import SimConfig, run_ber_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2  # also an output path that cannot be created or written
@@ -52,10 +52,6 @@ _DEFAULTS = {
         "truncation": 3,
     },
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _snr_grid(text) -> tuple:
@@ -105,17 +101,17 @@ def _load_config(path, args) -> dict:
         try:
             read = parser.read(path, encoding="utf-8")
         except configparser.Error as exc:  # its message names the file, over several lines
-            raise ConfigError(" ".join(str(exc).split())) from exc
+            raise ValueError(" ".join(str(exc).split())) from exc
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not a text file (undecodable byte at offset {exc.start})") from exc
+            raise ValueError(f"{path}: not a text file (undecodable byte at offset {exc.start})") from exc
         if not read:
-            raise ConfigError(f"cannot read config file {path}")
+            raise ValueError(f"cannot read config file {path}")
         for sec in parser.sections():
             if sec not in merged:
-                raise ConfigError(f"unknown config section [{sec}]")
+                raise ValueError(f"unknown config section [{sec}]")
             for key, val in parser[sec].items():
                 if key not in merged[sec]:
-                    raise ConfigError(f"unknown config key [{sec}] {key}")
+                    raise ValueError(f"unknown config key [{sec}] {key}")
                 merged[sec][key] = val
     for vals in merged.values():
         for key in vals:
@@ -128,8 +124,21 @@ def _geometry(cfg) -> CellGeometry:
     return CellGeometry(radius_ratio_c1=cfg["link"]["c1"], pathloss_alpha=cfg["link"]["alpha"])
 
 
+def _write_csv(path, header: str, rows, end: str) -> None:
+    """The header line, then one line per row, each ending in end."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + end for line in [header, *rows]))
+
+
+def _write_json(path, payload) -> None:
+    """payload as indented JSON, keys sorted so identical runs write identical files."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
 def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
-    """JSON run manifest; keys sorted so identical runs write identical files."""
+    """The JSON run manifest: the command, seed, merged config, outputs and environment."""
     payload = {
         "command": command,
         "version": __version__,
@@ -143,9 +152,7 @@ def _manifest(out: Path, command: str, args, cfg: dict, outputs) -> None:
             "cpu_count": os.cpu_count(),
         },
     }
-    with open(out / f"{command}_manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(out / f"{command}_manifest.json", payload)
 
 
 def _cmd_assign(args, cfg, out: Path) -> int:
@@ -181,7 +188,8 @@ def _cmd_design(args, cfg, out: Path) -> int:
     cb_path = out / "designed_codebook.txt"
     hist_path = out / "design_history.csv"
     export_codebook_set(result.codebooks, cb_path)
-    result.write_history_csv(hist_path)
+    history = (f"{g},{v:.12g}" for g, v in enumerate(result.history, 1))
+    _write_csv(hist_path, "generation,best_worst_bep", history, "\r\n")
     _manifest(out, "design", args, cfg, [cb_path, hist_path])
     print(
         f"designed worst-user BEP {result.best.fitness:.6g} at {ga_cfg.design_snr_db} dB "
@@ -191,22 +199,19 @@ def _cmd_design(args, cfg, out: Path) -> int:
     return EXIT_OK
 
 
-def _bep_csv_rows(snr_db_grid, per_user_matrix, prefix: str = "") -> str:
-    """The CSV rows under snr_db,user_rank,bep, one per (SNR point, user rank), each led by prefix.
-
-    Rows end in CRLF, the csv module's line end, which bep.csv files have always had.
-    """
-    return "".join(
-        f"{prefix}{snr},{j + 1},{bep:.12g}\r\n"
-        for snr, row in zip(snr_db_grid, np.asarray(per_user_matrix), strict=True)
-        for j, bep in enumerate(row)
-    )
+def _bep_rows(grid, table) -> list:
+    """The rows under snr_db,user_rank,bep: one per (SNR point, user rank)."""
+    return [f"{snr},{j + 1},{bep:.12g}" for snr, row in zip(grid, table, strict=True) for j, bep in enumerate(row)]
 
 
-def write_bep_csv(path, snr_db_grid, per_user_matrix) -> None:
-    """Per-user BEP table as CSV with columns snr_db, user_rank, bep."""
-    with open(path, "w", newline="") as fh:
-        fh.write("snr_db,user_rank,bep\r\n" + _bep_csv_rows(snr_db_grid, per_user_matrix))
+def _ber_rows(result) -> list:
+    """The rows under snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst: one per (SNR point, user rank)."""
+    return [
+        f"{snr},{j + 1},{int(result.bits[si, j])},{int(result.errors[si, j])},"
+        f"{result.ber[si, j]:.12g},{result.ber_avg[si]:.12g},{result.ber_worst[si]:.12g}"
+        for si, snr in enumerate(result.snr_db)
+        for j in range(result.errors.shape[1])
+    ]
 
 
 def _analyze_one(cbs, cfg):
@@ -223,7 +228,7 @@ def _cmd_analyze(args, cfg, out: Path) -> int:
     cbs = import_codebook_set(args.codebook)
     table = _analyze_one(cbs, cfg)
     path = out / "bep.csv"
-    write_bep_csv(path, cfg["analysis"]["snr_grid"], table)
+    _write_csv(path, "snr_db,user_rank,bep", _bep_rows(cfg["analysis"]["snr_grid"], table), "\r\n")
     _manifest(out, "analyze", args, cfg, [path])
     print(f"wrote {path}")
     return EXIT_OK
@@ -250,19 +255,24 @@ def _cmd_simulate(args, cfg, out: Path) -> int:
     sim_cfg = _sim_config(args, cfg)
     result = run_ber_sweep(sim_cfg, cbs)
     path = out / "ber.csv"
-    result.write_csv(path)
+    _write_csv(path, "snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst", _ber_rows(result), "\n")
     _manifest(out, "simulate", args, cfg, [path])
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _snr_at_ber(snr_grid, worst_curve, target: float):
-    """Log-linear interpolation of the SNR where the worst-user curve hits target."""
+    """Log-linear interpolation of the SNR where the worst-user curve hits target, or None.
+
+    Only neighbouring points of positive BER bound a crossing: beyond a point
+    with no errors seen, the curve may reach target anywhere.
+    """
     snr = np.asarray(snr_grid, dtype=float)
-    logc = np.log10(np.maximum(worst_curve, 1e-300))
     logt = np.log10(target)
     for i in range(len(snr) - 1):
-        lo, hi = logc[i], logc[i + 1]
+        if min(worst_curve[i], worst_curve[i + 1]) <= 0:
+            continue
+        lo, hi = np.log10(worst_curve[i]), np.log10(worst_curve[i + 1])
         if (lo - logt) * (hi - logt) <= 0 and lo != hi:
             return float(snr[i] + (snr[i + 1] - snr[i]) * (logt - lo) / (hi - lo))
     return None
@@ -272,10 +282,14 @@ def _compare_usage(paths):
     """Why compare cannot run on these --codebook files, or None."""
     if len(paths) < 2:
         return "compare needs at least two --codebook files"
-    # Every output names a codebook by its file name, so distinct files under one name would merge.
+    # Every output names a codebook by its file name, unquoted in CSV rows, so distinct
+    # files under one name would merge, and a comma, quote or line break would split a row.
     files = {}
     for p in paths:
         files.setdefault(Path(p).name, set()).add(Path(p).resolve())
+    for name in files:
+        if any(c in name for c in ',"\r\n'):
+            return f"compare writes file names into CSV rows; {name!r} holds a comma, quote or line break"
     shared = [name for name, found in files.items() if len(found) > 1]
     if shared:
         return f"compare names codebooks by file name; distinct files are named {', '.join(shared)}"
@@ -283,46 +297,34 @@ def _compare_usage(paths):
 
 
 def _cmd_compare(args, cfg, out: Path) -> int:
-    paths = args.codebook
-    names = [Path(p).name for p in paths]
+    names = [Path(p).name for p in args.codebook]
     if not 0 < args.target_ber < 1:
-        raise ConfigError(f"target BER must be in (0, 1), got {args.target_ber:g}")
-    sets = [import_codebook_set(p) for p in paths]
-    snr_grid = cfg["analysis"]["snr_grid"]
-    outputs = []
-    worst_curves = {}
-    csv_path = out / "compare_bep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("codebook,snr_db,user_rank,bep\r\n")
-        for name, cbs in zip(names, sets):
-            table = _analyze_one(cbs, cfg)
-            worst_curves[name] = table.max(axis=1)
-            fh.write(_bep_csv_rows(snr_grid, table, prefix=f"{name},"))
-    outputs.append(csv_path)
+        raise ValueError(f"target BER must be in (0, 1), got {args.target_ber:g}")
+    sets = [import_codebook_set(p) for p in args.codebook]
+    grid = cfg["analysis"]["snr_grid"]
+    tables = [_analyze_one(cbs, cfg) for cbs in sets]
+    bep_rows = [f"{name},{row}" for name, table in zip(names, tables) for row in _bep_rows(grid, table)]
+    worst_curves = [table.max(axis=1) for table in tables]
     if args.run_simulation:
         sim_cfg = _sim_config(args, cfg)
-        ber_path = out / "compare_ber.csv"
-        with open(ber_path, "w") as fh:
-            fh.write("codebook," + BerResult.CSV_HEADER)
-            for name, cbs in zip(names, sets):
-                res = run_ber_sweep(sim_cfg, cbs)
-                worst_curves[name] = res.ber_worst
-                fh.write(res.csv_rows(prefix=f"{name},"))
-        outputs.append(ber_path)
+        results = [run_ber_sweep(sim_cfg, cbs) for cbs in sets]
+        ber_rows = [f"{name},{row}" for name, res in zip(names, results) for row in _ber_rows(res)]
+        grid, worst_curves = cfg["simulate"]["snr_grid"], [res.ber_worst for res in results]
     ref = names[0]
-    grid = cfg["simulate"]["snr_grid"] if args.run_simulation else snr_grid
-    ref_snr = _snr_at_ber(grid, worst_curves[ref], args.target_ber)
+    ref_snr = _snr_at_ber(grid, worst_curves[0], args.target_ber)
     gains = {}
-    for name in names[1:]:
-        other_snr = _snr_at_ber(grid, worst_curves[name], args.target_ber)
+    for name, curve in zip(names[1:], worst_curves[1:]):
+        other_snr = _snr_at_ber(grid, curve, args.target_ber)
         gains[name] = None if ref_snr is None or other_snr is None else other_snr - ref_snr
         shown = "n/a" if gains[name] is None else f"{gains[name]:+.2f} dB"
         print(f"worst-user gain of {ref} over {name} at BER {args.target_ber:g}: {shown}")
-    summary = out / "compare_summary.json"
-    with open(summary, "w") as fh:
-        json.dump({"reference": ref, "target_ber": args.target_ber, "gains_db": gains}, fh, indent=2)
-        fh.write("\n")
-    outputs.append(summary)
+    outputs = [out / "compare_bep.csv"]
+    _write_csv(outputs[0], "codebook,snr_db,user_rank,bep", bep_rows, "\r\n")
+    if args.run_simulation:
+        outputs.append(out / "compare_ber.csv")
+        _write_csv(outputs[-1], "codebook,snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst", ber_rows, "\n")
+    outputs.append(out / "compare_summary.json")
+    _write_json(outputs[-1], {"reference": ref, "target_ber": args.target_ber, "gains_db": gains})
     _manifest(out, "compare", args, cfg, outputs)
     return EXIT_OK
 
@@ -330,7 +332,7 @@ def _cmd_compare(args, cfg, out: Path) -> int:
 _SYSTEM_KEYS = ("k_resources", "j_users", "m_order", "n_nonzero")
 
 # Each subcommand: what runs it, its help, and the config keys it takes as
-# flags besides the [link] keys, which every subcommand takes.
+# flags besides the [link] keys and --threads, which every subcommand but assign takes.
 _COMMANDS = {
     "assign": (_cmd_assign, "print and validate the signature matrix for dims", _SYSTEM_KEYS),
     "design": (
@@ -360,12 +362,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker threads of the BER sweep (>= 1; no effect on design or analyze)"
-        )
+        if command != "assign":  # assign reads no [link] key and runs no threads
+            threads_help = "worker threads of the BER sweep (>= 1; no effect on design or analyze)"
+            p.add_argument("--threads", type=int, default=1, help=threads_help)
+            keys = tuple(_DEFAULTS["link"]) + keys
         if command in ("analyze", "simulate"):
             p.add_argument("--codebook", required=True, help="codebook interchange file")
-        for key in tuple(_DEFAULTS["link"]) + keys:
+        for key in keys:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=_KEYS[key][1])
     p_cmp = sub.choices["compare"]
     p_cmp.add_argument(

@@ -7,7 +7,6 @@ with elitism, tournament selection, blend crossover and clipped Gaussian
 mutation minimizes it.  Runs are bit-reproducible for a given seed.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import ClassVar
@@ -143,13 +142,6 @@ class GaResult:
     best: Candidate
     codebooks: CodebookSet
     history: np.ndarray
-
-    def write_history_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["generation", "best_worst_bep"])
-            for g, v in enumerate(self.history):
-                writer.writerow([g + 1, format(v, ".12g")])
 
 
 def baseline_candidate(space: DesignSpace) -> Candidate:

@@ -77,21 +77,6 @@ class BerResult:
     def ber_worst(self) -> np.ndarray:
         return self.ber.max(axis=1)
 
-    CSV_HEADER = "snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst\n"
-
-    def csv_rows(self, prefix: str = "") -> str:
-        """The CSV rows under CSV_HEADER, one per (SNR point, user rank), each led by prefix."""
-        return "".join(
-            f"{prefix}{snr},{j + 1},{int(self.bits[si, j])},{int(self.errors[si, j])},"
-            f"{self.ber[si, j]:.12g},{self.ber_avg[si]:.12g},{self.ber_worst[si]:.12g}\n"
-            for si, snr in enumerate(self.snr_db)
-            for j in range(self.errors.shape[1])
-        )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.CSV_HEADER + self.csv_rows())
-
 
 def _make_detector(cfg: SimConfig, cbs: CodebookSet):
     if cfg.detector == "ml":

@@ -78,6 +78,13 @@ NAMED = {
 }
 
 
+def assert_csv(data: bytes, header: str, rows: int, end: str):
+    """data is the header line and then rows lines, each ending in end and holding no other line break."""
+    lines = data.decode().split(end)
+    assert lines[0] == header and lines[-1] == "" and len(lines) == 1 + rows + 1
+    assert not any("\r" in line or "\n" in line for line in lines)
+
+
 @pytest.fixture(scope="module")
 def codebook_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cb") / "ref.txt"
@@ -111,6 +118,14 @@ def test_assign_prints_signature_pattern(capsys):
     assert "row_balance=True" in out
 
 
+@pytest.mark.parametrize("flag", ["--kappa", "--alpha", "--c1", "--threads"])
+def test_assign_takes_no_flag_it_does_not_read(flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["assign", flag, "-1"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_design_is_reproducible(tmp_path, capsys):
     args = [
         "design",
@@ -129,7 +144,8 @@ def test_design_is_reproducible(tmp_path, capsys):
     manifest = json.loads((out_a / "design_manifest.json").read_text())
     assert manifest["command"] == "design" and manifest["seed"] == 11
     assert set(manifest["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
-    assert (out_a / "design_history.csv").exists()
+    # One line per generation; the benchmark's cli_ref46 reference pins this file's CRLF bytes.
+    assert_csv((out_a / "design_history.csv").read_bytes(), "generation,best_worst_bep", 2, "\r\n")
 
 
 def test_analyze_and_simulate_share_keys(tmp_path, codebook_file, capsys):
@@ -157,6 +173,11 @@ def test_analyze_and_simulate_share_keys(tmp_path, codebook_file, capsys):
         ber_keys = {(row["snr_db"], row["user_rank"]) for row in csv.DictReader(fh)}
     assert bep_keys == ber_keys
     assert len(bep_keys) == 12
+    # bep.csv ends its lines in CRLF and ber.csv in LF; the cli_ref46 reference pins both files' bytes.
+    bep = (out_a / "bep.csv").read_bytes()
+    assert_csv(bep, "snr_db,user_rank,bep", 12, "\r\n")
+    assert bep.split(b"\r\n")[1].startswith(b"6.0,1,")
+    assert_csv((out_s / "ber.csv").read_bytes(), "snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst", 12, "\n")
     manifest = json.loads((out_s / "simulate_manifest.json").read_text())
     assert manifest["config"]["simulate"]["max_symbols"] == 2000
 
@@ -216,6 +237,19 @@ def test_compare_rejects_distinct_files_with_one_name(tmp_path, codebook_file, s
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "x.txt" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    # File names go into CSV rows unquoted, so one that would split a row is refused.
+    for name in ("a,b.txt", 'a"b.txt', "a\rb.txt", "a\nb.txt"):
+        argv = ["compare", "--codebook", codebook_file, "--codebook", str(shutil.copy(codebook_file, tmp_path / name))]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and repr(name) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_snr_at_ber_interpolates_only_between_points_with_errors():
+    # A point with no errors seen puts the crossing anywhere beyond the last point with errors.
+    assert cli._snr_at_ber((12, 16, 20), np.array([1e-2, 1e-3, 0.0]), 1e-4) is None
+    assert cli._snr_at_ber((12, 16, 20), np.array([1e-2, 1e-3, 1e-6]), 1e-4) == pytest.approx(16 + 4 / 3)
 
 
 def test_unknown_command_exits_with_usage_error():
@@ -517,7 +551,9 @@ def config_text(draw):
 def test_config_texts_exit_0_2_3_or_4_with_one_line(small_run_dir, codebook_file, command, text, threads):
     path = small_run_dir / "drawn.ini"
     path.write_text(text)
-    argv = [command, "--config", str(path), "--out", str(small_run_dir / "out"), "--threads", str(threads)]
+    argv = [command, "--config", str(path), "--out", str(small_run_dir / "out")]
+    if command != "assign":
+        argv += ["--threads", str(threads)]
     if command in ("analyze", "simulate"):
         argv += ["--codebook", codebook_file]
     err = io.StringIO()

@@ -130,16 +130,6 @@ def test_generation_scores_equal_one_fitness_call_each(space):
     assert np.all(np.isfinite(scores)) and len(scores) == 6
 
 
-def test_history_csv(tmp_path, space):
-    cfg = GaConfig(seed=5, **SMALL_GA)
-    result = run_ga(space, cfg)
-    path = tmp_path / "history.csv"
-    result.write_history_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "generation,best_worst_bep"
-    assert len(lines) == 1 + cfg.generations
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population=1)

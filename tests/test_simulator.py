@@ -158,16 +158,6 @@ def test_sweep_with_ml_detector(ref_cbs):
     assert abs(res_ml.errors.sum() - res_mpa.errors.sum()) / res_ml.errors.sum() < 0.2
 
 
-def test_ber_csv_schema(tmp_path, ref_cbs):
-    cfg = SimConfig(kappa=10.0, snr_grid_db=(8.0,), max_symbols=2000, target_errors=10, batch_size=1000)
-    res = run_ber_sweep(cfg, ref_cbs)
-    path = tmp_path / "ber.csv"
-    res.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst"
-    assert len(lines) == 1 + 6
-
-
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(snr_grid_db=(10.0, 5.0))
