@@ -188,8 +188,7 @@ def _cmd_design(args, cfg, out: Path) -> int:
     cb_path = out / "designed_codebook.txt"
     hist_path = out / "design_history.csv"
     export_codebook_set(result.codebooks, cb_path)
-    history = (f"{g},{v:.12g}" for g, v in enumerate(result.history, 1))
-    _write_csv(hist_path, "generation,best_worst_bep", history, "\r\n")
+    _write_csv(hist_path, "generation,best_worst_bep", _history_rows(result.history), "\r\n")
     _manifest(out, "design", args, cfg, [cb_path, hist_path])
     print(
         f"designed worst-user BEP {result.best.fitness:.6g} at {ga_cfg.design_snr_db} dB "
@@ -197,6 +196,11 @@ def _cmd_design(args, cfg, out: Path) -> int:
     )
     print(f"wrote {cb_path} and {hist_path}")
     return EXIT_OK
+
+
+def _history_rows(history) -> list:
+    """The rows under generation,best_worst_bep: one per generation, counted from 1."""
+    return [f"{g},{v:.12g}" for g, v in enumerate(history, 1)]
 
 
 def _bep_rows(grid, table) -> list:

@@ -32,6 +32,7 @@ from scma_ntn.analysis import (
     _truncated_user_bep,
     effective_snr_terms,
 )
+from scma_ntn.cli import _bep_rows, _write_csv
 
 from conftest import (
     REF_DELTA,
@@ -689,3 +690,11 @@ def test_set_bep_symmetric_single_user(geom):
     summary = set_bep(cbs, geom, 3.0, 0.5)
     assert summary.average == pytest.approx(summary.worst)
 
+
+def test_write_bep_csv_schema(tmp_path):
+    path = tmp_path / "bep.csv"
+    _write_csv(path, "snr_db,user_rank,bep", _bep_rows([0.0, 5.0], np.array([[0.1, 0.2], [0.01, 0.02]])), "\r\n")
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "snr_db,user_rank,bep"
+    assert len(lines) == 5
+    assert lines[1].startswith("0.0,1,")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scma_ntn import layering, optimizer
+from scma_ntn.cli import _history_rows, _write_csv
 from scma_ntn import (
     Candidate,
     CellGeometry,
@@ -128,6 +129,16 @@ def test_generation_scores_equal_one_fitness_call_each(space):
     scores = [c.fitness for c in optimizer._evaluate(population, cfg, space)]
     assert np.array_equal(scores, [fitness(c, cfg, space) for c in population])
     assert np.all(np.isfinite(scores)) and len(scores) == 6
+
+
+def test_history_csv(tmp_path, space):
+    cfg = GaConfig(seed=5, **SMALL_GA)
+    result = run_ga(space, cfg)
+    path = tmp_path / "history.csv"
+    _write_csv(path, "generation,best_worst_bep", _history_rows(result.history), "\r\n")
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "generation,best_worst_bep"
+    assert len(lines) == 1 + cfg.generations
 
 
 def test_config_validation():

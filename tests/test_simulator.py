@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scma_ntn import CellGeometry, CodebookSet, SimConfig, SystemDims, run_ber_sweep, snr_db_to_n0
+from scma_ntn.cli import _ber_rows, _write_csv
 from scma_ntn.simulator import _make_detector, _run_batch
 
 
@@ -156,6 +157,16 @@ def test_sweep_with_ml_detector(ref_cbs):
     assert res_ml.errors.sum() > 0
     # same channels and symbols, near-ML detector: error counts track closely
     assert abs(res_ml.errors.sum() - res_mpa.errors.sum()) / res_ml.errors.sum() < 0.2
+
+
+def test_ber_csv_schema(tmp_path, ref_cbs):
+    cfg = SimConfig(kappa=10.0, snr_grid_db=(8.0,), max_symbols=2000, target_errors=10, batch_size=1000)
+    res = run_ber_sweep(cfg, ref_cbs)
+    path = tmp_path / "ber.csv"
+    _write_csv(path, "snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst", _ber_rows(res), "\n")
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "snr_db,user_rank,bits,errors,ber,ber_avg,ber_worst"
+    assert len(lines) == 1 + 6
 
 
 def test_sim_config_validation():
