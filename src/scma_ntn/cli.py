@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory (default: cwd)")
         if command != "assign":  # assign reads no [link] key and runs no threads
-            threads_help = "worker threads of the BER sweep (>= 1; no effect on design or analyze)"
+            threads_help = "threads of the BER sweep, the calling one included (>= 1; no effect on design or analyze)"
             p.add_argument("--threads", type=int, default=1, help=threads_help)
             keys = tuple(_DEFAULTS["link"]) + keys
         if command in ("analyze", "simulate"):

@@ -13,8 +13,15 @@ from .codebook import CodebookSet
 
 __all__ = ["MlDetector", "MpaDetector"]
 
-# Entries in the largest table of an elimination chunk; more for one reception is refused.
+# Table entries a detector holds per chunk of receptions; more for one reception is refused.
 _MAX_ELEMENTS = 1 << 20
+
+
+def _chunk_size(entries: int, detector: str) -> int:
+    """Receptions per chunk when one reception holds entries table entries, refused above _MAX_ELEMENTS."""
+    if entries > _MAX_ELEMENTS:
+        raise ValueError(f"{detector} detection needs {entries} table entries per reception, above {_MAX_ELEMENTS}")
+    return _MAX_ELEMENTS // entries
 
 
 def _local_tables(codebooks: np.ndarray, rn_users: list) -> list:
@@ -62,10 +69,7 @@ class MlDetector:
                 shapes = [tuple(m if v in s else 1 for v in union) for s in bucket.values()]
                 self.steps.append((u, [(f, shape, s[1:]) for (f, s), shape in zip(bucket.items(), shapes)]))
                 scopes[len(rn_users) + len(self.steps) - 1] = tuple(union[1:])
-        largest = max([m ** len(bucket[0][1]) for _, bucket in self.steps], default=1)
-        if largest > _MAX_ELEMENTS:
-            raise ValueError(f"ML detection needs {largest} table entries per reception, above {_MAX_ELEMENTS}")
-        self.step = _MAX_ELEMENTS // largest
+        self.step = _chunk_size(max([m ** len(bucket[0][1]) for _, bucket in self.steps], default=1), "ML")
         self.local = [tab[..., 0].T[..., None] for tab in _local_tables(cbs.codebooks, rn_users)]
 
     def detect_batch(self, y: np.ndarray, channel: np.ndarray) -> np.ndarray:
@@ -108,13 +112,14 @@ class MpaDetector:
         self.user_edges = [  # (k, position in rn_users[k])
             [(k, users.index(l)) for k, users in enumerate(self.rn_users) if l in users] for l in range(self.j_users)
         ]
+        # One reception holds a cost table and a scratch table per RN.
+        self.step = _chunk_size(2 * sum(self.m_order ** len(users) for users in self.rn_users), "MPA")
         self.local = _local_tables(cbs.codebooks, self.rn_users)
         # Per RN and colliding user i, the other users' axes: the message to i minimizes over them.
         self.other_axes = [[tuple(a for a in range(len(us)) if a != i) for i in range(len(us))] for us in self.rn_users]
 
     def detect_batch(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
-        # Message tensors grow as B * M^d_k, so the batch runs in chunks of 2048.
-        return _in_chunks(self._detect_chunk, 2048, np.atleast_2d(y), np.atleast_2d(channel), n0)
+        return _in_chunks(self._detect_chunk, self.step, np.atleast_2d(y), np.atleast_2d(channel), n0)
 
     def _detect_chunk(self, y: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
         b, m = y.shape[0], self.m_order

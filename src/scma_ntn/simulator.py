@@ -117,9 +117,9 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
 
     Point s has ceil(max_symbols / batch_size) batches; batch b sends
     min(batch_size, max_symbols - b * batch_size) codewords drawn from
-    SeedSequence((seed, s, b)).  Batches run in waves of `threads` and are
-    folded in batch order, so the counts do not depend on the worker count;
-    the point stops at the first batch whose fold gives every user rank
+    SeedSequence((seed, s, b)).  Batches run in waves of `threads`, the first on
+    the calling thread, and fold in batch order, so the thread count changes no
+    count; the point stops at the first batch whose fold gives every user rank
     target_errors bit errors, or at its last batch.
     """
     dims = cbs.dims
@@ -134,17 +134,14 @@ def run_ber_sweep(cfg: SimConfig, cbs: CodebookSet) -> BerResult:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, si, b)))
         return _run_batch(cfg, cbs, detect, n0, min(cfg.batch_size, cfg.max_symbols - b * cfg.batch_size), rng)
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        # One thread runs the batches on the calling thread: under glibc a worker started per
-        # sweep can get a malloc arena of its own, and back-to-back one-thread sweeps (the
-        # sweep_ref46 benchmark) then peaked 16 MB, 20%, higher.
-        run = map if cfg.threads == 1 else pool.map
+    with ThreadPoolExecutor(max_workers=max(cfg.threads - 1, 1)) as pool:
         for si, n0 in enumerate(n0s):
             errors = all_errors[si]  # a view: each fold lands in all_errors
             b = -1  # the last batch folded
             while b + 1 < n_batches and errors.min() < cfg.target_errors:
                 wave = range(b + 1, min(b + 1 + cfg.threads, n_batches))
-                for b, res in zip(wave, list(run(partial(numbered_batch, si, n0), wave))):
+                rest = pool.map(partial(numbered_batch, si, n0), wave[1:])  # submitted first, to run beside wave[0]
+                for b, res in zip(wave, [numbered_batch(si, n0, wave[0]), *rest]):
                     errors += res
                     if errors.min() >= cfg.target_errors:
                         break

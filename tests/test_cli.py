@@ -16,7 +16,7 @@ from scma_ntn.cli import EXIT_CODEBOOK, EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
 
 from conftest import make_codebook_set, make_oversized_set
 
-# Stands for a file holding conftest.make_oversized_set(), too large for the exact bound and ML detection.
+# Stands for a file holding conftest.make_oversized_set(), too large for the exact bound and both detectors.
 BIG = "<6x20 codebook>"
 
 # Each bad value must end in exit 3 with a one-line message; None is no config file.
@@ -45,6 +45,7 @@ BAD_VALUES = {
     "analyze-exact-6x20": (["analyze", "--truncation", "none", "--codebook", BIG], None),
     "compare-exact-6x20": (["compare", "--truncation", "none", "--codebook", BIG, "--codebook", BIG], None),
     "simulate-ml-6x20": (["simulate", "--detector", "ml", "--codebook", BIG], None),
+    "simulate-mpa-6x20": (["simulate", "--detector", "mpa", "--codebook", BIG], None),
     "design-negative-seed": (["design", "--seed", "-1"], None),
     "simulate-negative-seed": (["simulate", "--seed", "-1"], None),
     "config-no-section-header": (["analyze"], "truncation = 2\n"),
@@ -75,6 +76,7 @@ NAMED = {
     "simulate-batch-size-0": "batch_size must be an integer >= 1, got 0",
     "design-population-1e15": "more memory than the host has",
     "simulate-batch-1e15": "more memory than the host has",
+    "simulate-mpa-6x20": "table entries per reception",
 }
 
 

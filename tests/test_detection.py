@@ -8,7 +8,7 @@ from scma_ntn import detection
 from scma_ntn.detection import MlDetector, MpaDetector
 from scma_ntn.simulator import _run_batch
 
-from conftest import make_codebook_set, small_sets
+from conftest import make_codebook_set, make_oversized_set, small_sets
 from ml_oracle import exhaustive_ml
 
 
@@ -215,16 +215,48 @@ def test_mpa_equals_ml_on_random_tree_graphs(case):
 
 
 def test_mpa_chunk_boundaries_and_shapes(ref_cbs):
-    tx, y, h, n0 = _received_batch(ref_cbs, 6.0, 2 * 2048 + 3, seed=9)
     det = MpaDetector(ref_cbs, iterations=8)
+    step = det.step
+    tx, y, h, n0 = _received_batch(ref_cbs, 6.0, 2 * step + 3, seed=9)
     whole = det.detect_batch(y, h, n0)
-    bounds = ((0, 2048), (2048, 4096), (4096, 4099))
+    bounds = ((0, step), (step, 2 * step), (2 * step, 2 * step + 3))
     parts = [det.detect_batch(y[lo:hi], h[lo:hi], n0) for lo, hi in bounds]
-    assert whole.shape == (4099, 6)
+    assert whole.shape == (2 * step + 3, 6)
     assert np.array_equal(whole, np.concatenate(parts))
     single = det.detect_batch(y[5], h[5], n0)
     assert single.shape == (1, 6)
     assert np.array_equal(single, whole[5:6])
+
+
+def test_chunks_on_the_reference_set(ref_cbs):
+    # The benchmark's sweep_ref46 (MPA) and cli_ref46 (ML) run these chunks.
+    assert MpaDetector(ref_cbs).step == 2048
+    assert MlDetector(ref_cbs).step == 1024
+
+
+@pytest.mark.parametrize(
+    "dims, step",
+    [(SystemDims(5, 10, 4, 2), 409), (SystemDims(4, 6, 8, 2), 256)],
+    ids=["5x10", "4x6-M8"],
+)
+def test_mpa_chunks_equal_one_chunk(dims, step):
+    # Decisions are per reception, so the chunk size moves no bit.
+    d_f = dims.df_collisions
+    cbs = make_codebook_set(1.5, np.linspace(0.25, 1.0, d_f), np.linspace(0.0, 2.4, d_f), dims)
+    det = MpaDetector(cbs, iterations=8)
+    assert det.step == step
+    tx, y, h, n0 = _received_batch(cbs, 10.0, 2 * step + 5, seed=14)
+    assert np.array_equal(det.detect_batch(y, h, n0), det._detect_chunk(y, h, n0))
+
+
+def test_mpa_guard_before_any_table(monkeypatch):
+    # 6 RNs of 4^10 entries, twice over, is above the budget; no table may be built first.
+    def refuse(*args):
+        raise AssertionError("_local_tables ran before the guard")
+
+    monkeypatch.setattr(detection, "_local_tables", refuse)
+    with pytest.raises(ValueError, match="MPA detection needs 12582912 table entries per reception"):
+        MpaDetector(make_oversized_set())
 
 
 def _batch_leading_mpa(det, y, channel, n0):

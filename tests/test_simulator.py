@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,17 @@ def test_sweep_deterministic_and_thread_invariant(ref_cbs):
         detect = _make_detector(cfg, ref_cbs)
         rngs = [np.random.default_rng(np.random.SeedSequence((7, 1, b))) for b in range(2)]
         assert np.array_equal(runs[0].errors[1], sum(_run_batch(cfg, ref_cbs, detect, n0, 300, r) for r in rngs))
+
+
+def test_one_thread_sweep_submits_nothing(ref_cbs, monkeypatch):
+    # The calling thread runs each wave's first batch, so one thread starts no worker.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-thread sweep submitted a batch to the pool")
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+    cfg = SimConfig(snr_grid_db=(0.0, 20.0), max_symbols=600, target_errors=40, batch_size=200, threads=1)
+    res = run_ber_sweep(cfg, ref_cbs)
+    assert res.bits[1, 0] == 600 * ref_cbs.dims.bits_per_symbol
 
 
 def test_sweep_symmetric_orthogonal_users():
