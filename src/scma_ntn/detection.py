@@ -10,6 +10,7 @@ from functools import reduce
 import numpy as np
 
 from .codebook import CodebookSet
+from .layering import check_counts
 
 __all__ = ["MlDetector", "MpaDetector"]
 
@@ -104,9 +105,8 @@ class MpaDetector:
     """
 
     def __init__(self, cbs: CodebookSet, iterations: int = 8):
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
         self.iterations = iterations
+        check_counts(self, iterations=1)
         self.j_users, _, self.m_order = cbs.codebooks.shape
         self.rn_users = cbs.collision_sets()
         self.user_edges = [  # (k, position in rn_users[k])

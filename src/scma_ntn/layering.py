@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +31,14 @@ class LayeringError(ValueError):
     """Raised when no valid layer packing exists for the requested dims."""
 
 
+def check_counts(owner, **least) -> None:
+    """Raise ValueError unless each named attribute of owner is an integer >= its least value."""
+    for name, low in least.items():
+        value = getattr(owner, name)
+        if not (isinstance(value, Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemDims:
     """Factor-graph scale (K resources, J layers, M-ary codebooks, N nonzeros)."""
@@ -40,12 +49,11 @@ class SystemDims:
     n_nonzero: int
 
     def __post_init__(self):
-        if self.k_resources < 1 or self.j_users < 1:
-            raise ValueError("k_resources and j_users must be positive")
-        if self.m_order < 2 or self.m_order & (self.m_order - 1) != 0:
+        check_counts(self, k_resources=1, j_users=1, m_order=2, n_nonzero=1)
+        if self.m_order & (self.m_order - 1) != 0:
             raise ValueError(f"m_order must be a power of two >= 2, got {self.m_order}")
-        if not 1 <= self.n_nonzero <= self.k_resources:
-            raise ValueError("n_nonzero must be in 1..k_resources")
+        if self.n_nonzero > self.k_resources:
+            raise ValueError(f"n_nonzero must be <= k_resources, got {self.n_nonzero} > {self.k_resources}")
 
     @property
     def overload(self) -> float:
@@ -234,8 +242,6 @@ def assign_layers_and_power(operators, dims: SystemDims) -> SignatureMatrix:
             countdown[r] -= 1
     for g in list(unvisited):
         visit(g)
-    if countdown.any():
-        raise LayeringError("operator countdown left an unbalanced row; dims unsupported")
 
     order = np.argsort(SignatureMatrix(entries, ops, ()).column_powers(), kind="stable")
     # Sorted column c holds packed column order[c], of group order[c] // L or a residual layer.

@@ -4,11 +4,11 @@ The decision vector is the MC amplitude parameter plus the d_f shared
 constellation operators; fitness is the worst-user analytical BEP of the
 codebook set those parameters induce at the design SNR.  A generational GA
 with elitism, tournament selection, blend crossover and clipped Gaussian
-mutation minimizes it.  Runs are bit-reproducible for a given seed.
+mutation minimizes it over one (population, dimension) array of decision
+vectors.  Runs are bit-reproducible for a given seed.
 """
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -17,7 +17,7 @@ from .analysis import set_bep, snr_db_to_n0
 from .codebook import CodebookSet, build_codebook_set
 from .constellation import build_mother_constellation
 from .geometry import CellGeometry
-from .layering import ConstellationOperator, SystemDims, assign_layers_and_power
+from .layering import ConstellationOperator, SystemDims, assign_layers_and_power, check_counts
 
 __all__ = [
     "DesignSpace",
@@ -94,19 +94,13 @@ class GaConfig:
     workers: int = 1
 
     def __post_init__(self):
-        counts = {"population": self.elitism + 1, "generations": 1, "workers": 1, "seed": 0}
-        for name, least in counts.items():
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_counts(self, population=self.elitism + 1, generations=1, workers=1, seed=0)
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not np.isfinite(self.design_snr_db):
             raise ValueError(f"design SNR must be finite, got {self.design_snr_db}")
-        if self.truncation is not None and not (
-            isinstance(self.truncation, Integral) and self.truncation >= 1
-        ):
-            raise ValueError(f"truncation must be None or an integer >= 1, got {self.truncation!r}")
+        if self.truncation is not None:
+            check_counts(self, truncation=1)
 
 
 @dataclass(frozen=True)
@@ -165,58 +159,50 @@ def fitness(cand: Candidate, cfg: GaConfig, space: DesignSpace) -> float:
     (0, 1], theta outside [0, pi)) raises their ValueError, and dims with no
     layer packing raise LayeringError.
     """
-    return _evaluate([cand], cfg, space)[0].fitness
+    return _evaluate(cand.as_vector()[None], cfg, space)[0]
 
 
-def _evaluate(population, cfg: GaConfig, space: DesignSpace):
-    """The candidates with their fitness set, every bound from one set_bep call.
+def _evaluate(vectors: np.ndarray, cfg: GaConfig, space: DesignSpace) -> np.ndarray:
+    """Worst-user bounds (P,) of the (P, dimension) decision vectors, from one set_bep call.
 
-    run_ga draws every candidate through space.clip, so each one builds.
+    run_ga draws every vector through space.clip, so each one builds.
     """
-    sets = [candidate_codebooks(c, space) for c in population]
+    sets = [candidate_codebooks(Candidate.from_vector(v, space.n_operators), space) for v in vectors]
     n0 = snr_db_to_n0(cfg.design_snr_db, space.dims)
     bounds = set_bep(sets, cfg.geometry, cfg.kappa, n0, truncation=cfg.truncation)
-    return [replace(c, fitness=b.worst) for c, b in zip(population, bounds)]
+    return np.array([b.worst for b in bounds])
 
 
 def run_ga(space: DesignSpace, cfg: GaConfig) -> GaResult:
-    """Generational GA with elitism; history of best fitness per generation.
+    """Generational GA with elitism; history of the best fitness per generation.
 
-    The elite carry over, so the history is non-increasing.  The returned
-    codebook set is rebuilt from the best-ever candidate.
+    The elite lead, so a generation's first lowest fitness is the best so far,
+    ties included.  Tournaments and the returned best also take the first lowest.
     """
     rng = np.random.default_rng(cfg.seed)
-    n_ops = space.n_operators
     lo, hi = space.lower(), space.upper()
-    pop_vecs = rng.uniform(space.clip(lo), hi, size=(cfg.population, space.dimension))
-    population = _evaluate([Candidate.from_vector(v, n_ops) for v in pop_vecs], cfg, space)
-
-    def tournament_pick():
-        idx = rng.integers(0, len(population), TOURNAMENT)
-        return min(idx, key=lambda i: population[i].fitness)
-
+    pop = rng.uniform(space.clip(lo), hi, size=(cfg.population, space.dimension))
+    fit = _evaluate(pop, cfg, space)
     history = []
-    best = min(population, key=lambda c: c.fitness)
     sigma = MUTATION_SIGMA_FRAC * (hi - lo)
     for _ in range(cfg.generations):
-        elite = sorted(population, key=lambda c: c.fitness)[: cfg.elitism]
         children = []
         while len(children) < cfg.population - cfg.elitism:
-            p1 = population[tournament_pick()].as_vector()
-            p2 = population[tournament_pick()].as_vector()
+            draws = [rng.integers(0, cfg.population, TOURNAMENT) for _ in range(2)]
+            p1, p2 = (pop[d[fit[d].argmin()]] for d in draws)
+            child = p1
             if rng.random() < CROSSOVER_RATE:
                 lo_g = np.minimum(p1, p2)
                 hi_g = np.maximum(p1, p2)
                 span = hi_g - lo_g
                 child = rng.uniform(lo_g - BLEND_ALPHA * span, hi_g + BLEND_ALPHA * span)
-            else:
-                child = p1.copy()
             mutate = rng.random(space.dimension) < MUTATION_RATE
             child = child + mutate * rng.normal(0.0, 1.0, space.dimension) * sigma
-            children.append(Candidate.from_vector(space.clip(child), n_ops))
-        population = elite + _evaluate(children, cfg, space)
-        gen_best = min(population, key=lambda c: c.fitness)
-        if gen_best.fitness < best.fitness:
-            best = gen_best
-        history.append(best.fitness)
+            children.append(space.clip(child))
+        elite = np.argsort(fit, kind="stable")[: cfg.elitism]
+        pop = np.concatenate([pop[elite], children])
+        fit = np.concatenate([fit[elite], _evaluate(pop[cfg.elitism :], cfg, space)])
+        history.append(fit.min())
+    i = fit.argmin()
+    best = replace(Candidate.from_vector(pop[i], space.n_operators), fitness=float(fit[i]))
     return GaResult(best=best, codebooks=candidate_codebooks(best, space), history=np.array(history))

@@ -14,7 +14,6 @@ batch structure regardless of the worker count.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .analysis import snr_db_to_n0
 from .codebook import CodebookSet
 from .detection import MlDetector, MpaDetector
 from .geometry import CellGeometry, pathloss_factor, sample_radii, sample_rician
+from .layering import check_counts
 
 __all__ = ["SimConfig", "BerResult", "run_ber_sweep"]
 
@@ -42,11 +42,7 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        counts = {"max_symbols": 1, "target_errors": 1, "batch_size": 1, "threads": 1, "iterations": 1, "seed": 0}
-        for name, least in counts.items():
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_counts(self, max_symbols=1, target_errors=1, batch_size=1, threads=1, iterations=1, seed=0)
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not np.all(np.isfinite(self.snr_grid_db)):

@@ -315,9 +315,9 @@ def test_mpa_agreement_with_ml_on_loopy_graph(ref_cbs):
 
 
 def test_mpa_rejects_zero_iterations(ref_cbs):
-    # Message passing needs at least one pass.
-    for iterations in (0, -1):
-        with pytest.raises(ValueError, match="iterations must be >= 1"):
+    # Message passing needs at least one whole pass; 1.5 stops here, not inside detect_batch.
+    for iterations in (0, -1, 1.5):
+        with pytest.raises(ValueError, match=f"iterations must be an integer >= 1, got {iterations}"):
             MpaDetector(ref_cbs, iterations=iterations)
 
 

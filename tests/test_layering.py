@@ -276,9 +276,24 @@ def test_system_dims_validation():
     assert dims.overload == pytest.approx(1.5)
     assert dims.df_collisions == 3
     assert dims.bits_per_symbol == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m_order must be a power of two"):
         SystemDims(4, 6, 5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_nonzero must be <= k_resources"):
         SystemDims(4, 6, 4, 5)
     with pytest.raises(LayeringError):
         SystemDims(4, 5, 4, 2).df_collisions
+    # Each count fails at construction, naming its field, not later in the layering or codebook build.
+    cases = [  # a list, since (4.0, 6, 4, 2) == (4, 6.0, 4, 2) as dict keys
+        ((4.0, 6, 4, 2), "k_resources must be an integer >= 1, got 4.0"),
+        ((4, 6.0, 4, 2), "j_users must be an integer >= 1, got 6.0"),
+        ((4, 6, 4.0, 2), "m_order must be an integer >= 2, got 4.0"),
+        ((4, 6, 4, 2.0), "n_nonzero must be an integer >= 1, got 2.0"),
+        ((0, 6, 4, 2), "k_resources must be an integer >= 1, got 0"),
+        ((4, 0, 4, 2), "j_users must be an integer >= 1, got 0"),
+        ((4, 6, 1, 2), "m_order must be an integer >= 2, got 1"),
+        ((4, 6, 4, 0), "n_nonzero must be an integer >= 1, got 0"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SystemDims(*args)
+    assert SystemDims(np.int64(4), np.int64(6), np.int64(4), np.int64(2)).df_collisions == 3

@@ -96,6 +96,10 @@ def test_ga_beats_equal_power_baseline(space):
     assert result.codebooks.total_power() == pytest.approx(24.0, abs=1e-9)
 
 
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
 def test_ga_bit_reproducible(space):
     cfg = GaConfig(seed=42, **SMALL_GA)
     r1 = run_ga(space, cfg)
@@ -103,6 +107,26 @@ def test_ga_bit_reproducible(space):
     assert r1.best == r2.best
     assert np.array_equal(r1.history, r2.history)
     assert np.array_equal(r1.codebooks.codebooks, r2.codebooks.codebooks)
+    # Pinned bits: a change to the GA's draw order, arithmetic or tie rule moves them.
+    assert _hex(r1.best.as_vector()) == [
+        "0x1.8eea36ae9303ep+1", "0x1.79a32c8ec6c4ap-1", "0x1.c5cf18bee8416p-1", "0x1.9563483697ba5p-1",
+        "0x1.686b2e3448862p-2", "0x1.37edf1459b0d4p+1", "0x1.4092f86e2f404p+0",
+    ]
+    assert _hex(r1.history) == ["0x1.aef38c6390a3ap-4", "0x1.aef38c6390a3ap-4", "0x1.92ad941ec04cep-4"]
+    assert r1.best.fitness == r1.history[-1]
+
+
+def test_ga_breaks_ties_by_first_lowest(space, monkeypatch):
+    # Integer scores tie often.  Tournaments, elite and best each keep the first lowest;
+    # taking the last lowest in any one of the three changes these pinned values.
+    monkeypatch.setattr(optimizer, "_evaluate", lambda vectors, cfg, space: np.floor(vectors[:, 1:].sum(axis=1)))
+    result = run_ga(space, GaConfig(seed=9, **SMALL_GA))
+    assert _hex(result.best.as_vector()) == [
+        "0x1.e2c2a47a18dd4p+1", "0x1.34328656239c0p-4", "0x1.ce2e702a3bf2cp-2", "0x1.cafc3607e1053p-2",
+        "0x1.f16a49f363aa4p-2", "0x1.26fb1f66dec9ap-1", "0x0.0p+0",
+    ]
+    assert result.best.fitness == 2.0
+    assert result.history.tolist() == [3.0, 3.0, 2.0]
 
 
 def test_ga_history_non_increasing(space):
@@ -125,10 +149,10 @@ def test_generation_scores_equal_one_fitness_call_each(space):
     lo, hi = space.lower(), space.upper()
     lo[0] = 1.01
     vectors = np.random.default_rng(11).uniform(lo, hi, size=(6, space.dimension))
-    population = [Candidate.from_vector(v, space.n_operators) for v in vectors]
-    scores = [c.fitness for c in optimizer._evaluate(population, cfg, space)]
-    assert np.array_equal(scores, [fitness(c, cfg, space) for c in population])
-    assert np.all(np.isfinite(scores)) and len(scores) == 6
+    scores = optimizer._evaluate(vectors, cfg, space)
+    assert scores.shape == (6,)
+    assert np.array_equal(scores, [fitness(Candidate.from_vector(v, space.n_operators), cfg, space) for v in vectors])
+    assert np.all(np.isfinite(scores))
 
 
 def test_history_csv(tmp_path, space):
